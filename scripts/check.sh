@@ -218,6 +218,58 @@ EOF
     then
         status=1
     fi
+    echo "== vector-vs-scalar network audit (Figs. 4-5, ext_faults) =="
+    if ! PYTHONPATH=src python - <<'EOF'
+"""The all-pairs sweeps price pair arrays through NetworkModel.p2p_times;
+each full-size sweep must equal, bit for bit, the same sweep priced one
+pair at a time through the scalar NetworkModel.p2p_time."""
+import numpy as np
+from repro.bench.osu import (FIG4_SIZE, FIG5_SIZES, fig4_data, fig5_data,
+                             pairwise_bandwidth_map)
+from repro.machine import cte_arm
+from repro.network import network_for
+from repro.network.faults import random_faults
+from repro.util.rng import make_rng
+
+
+def scalar_map(net, size):
+    n = net.n_nodes
+    return np.array([[np.nan if a == b else size / net.p2p_time(a, b, size)
+                      for b in range(n)] for a in range(n)])
+
+
+checks = 0
+for healthy in (False, True):
+    net = network_for(cte_arm(192), n_nodes=192, healthy=healthy)
+    assert np.array_equal(fig4_data(healthy=healthy),
+                          scalar_map(net, FIG4_SIZE), equal_nan=True), healthy
+    checks += 1
+
+net = network_for(cte_arm(192), n_nodes=192)
+pairs = [(a, b) for a in range(192) for b in range(192) if a != b]
+idx = make_rng(7, "osu-pairs", 192, 1500).choice(len(pairs), size=1500,
+                                                 replace=False)
+sample = [pairs[i] for i in np.sort(idx)]
+dists = fig5_data(max_pairs=1500)
+assert sorted(dists) == FIG5_SIZES
+for size in FIG5_SIZES:
+    want = [size / net.p2p_time(a, b, size) for a, b in sample]
+    assert np.array_equal(dists[size], want), size
+    checks += 1
+
+for n_faults, direction in [(1, "recv"), (3, "recv"), (2, "send"),
+                            (2, "both")]:
+    faults = random_faults(48, n_faults, directions=direction, seed=n_faults)
+    net = network_for(cte_arm(48), n_nodes=48, faults=faults)
+    assert np.array_equal(pairwise_bandwidth_map(net, size=256),
+                          scalar_map(net, 256), equal_nan=True), direction
+    checks += 1
+print(f"vector == scalar bit-for-bit on {checks} full-size network sweeps "
+      "(2 Fig. 4 maps, 25 Fig. 5 sizes, 4 ext_faults maps)")
+EOF
+    then
+        status=1
+    fi
     echo "== EXPERIMENTS.md byte-identity audit =="
     if ! PYTHONPATH=src python - <<'EOF'
 """The committed EXPERIMENTS.md must be byte-identical to a fresh render

@@ -22,6 +22,13 @@ FIG5_SIZES = [2**k for k in range(0, 25)]
 FIG4_SIZE = 256
 
 
+def _ordered_pairs(n: int, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map flat indices into the canonical (sender-major, self-pairs
+    skipped) order of the ``n * (n - 1)`` ordered pairs to ``(a, b)``."""
+    a, j = np.divmod(flat, n - 1)
+    return a, j + (j >= a)
+
+
 def pairwise_bandwidth_map(
     network: NetworkModel, *, size: int = FIG4_SIZE, n_nodes: int | None = None
 ) -> np.ndarray:
@@ -30,13 +37,13 @@ def pairwise_bandwidth_map(
     The diagonal (self-pairs) is NaN, as in the paper's map.
     """
     n = network.n_nodes if n_nodes is None else n_nodes
+    if n <= 0:
+        raise ConfigurationError("bandwidth map needs at least one node")
     if n > network.n_nodes:
         raise ConfigurationError("more nodes requested than the fabric has")
     m = np.full((n, n), np.nan)
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                m[a, b] = network.measured_bandwidth(a, b, size)
+    a, b = _ordered_pairs(n, np.arange(n * (n - 1)))
+    m[a, b] = size / network.p2p_times(a, b, size)
     return m
 
 
@@ -58,17 +65,14 @@ def bandwidth_distribution(
     """
     sizes = FIG5_SIZES if sizes is None else sizes
     n = network.n_nodes
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    if max_pairs is not None and len(pairs) > max_pairs:
+    n_pairs = n * (n - 1)
+    if max_pairs is not None and n_pairs > max_pairs:
         rng = make_rng(seed, "osu-pairs", n, max_pairs)
-        idx = rng.choice(len(pairs), size=max_pairs, replace=False)
-        pairs = [pairs[i] for i in np.sort(idx)]
-    out: dict[int, np.ndarray] = {}
-    for size in sizes:
-        out[size] = np.array(
-            [network.measured_bandwidth(a, b, size) for a, b in pairs]
-        )
-    return out
+        flat = np.sort(rng.choice(n_pairs, size=max_pairs, replace=False))
+    else:
+        flat = np.arange(n_pairs)
+    a, b = _ordered_pairs(n, flat)
+    return {size: size / network.p2p_times(a, b, size) for size in sizes}
 
 
 @dataclass

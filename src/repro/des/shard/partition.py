@@ -47,6 +47,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.util.errors import ConfigurationError
 
 if TYPE_CHECKING:
@@ -255,13 +257,9 @@ def lookahead(
         # One hop is the least any two distinct nodes can be apart and
         # t(1, h) is nondecreasing in h: still a valid lower bound.
         return link.p2p_time(1, 1)
-    best = math.inf
-    for a in range(n_nodes):
-        sa = plan.shard_of_node(a)
-        for b in range(n_nodes):
-            if a == b or plan.shard_of_node(b) == sa:
-                continue
-            t = link.p2p_time(1, network.hops(a, b))
-            if t < best:
-                best = t
-    return best
+    nodes = np.arange(n_nodes)
+    shard = np.array([plan.shard_of_node(a) for a in range(n_nodes)])
+    cross = shard[:, None] != shard[None, :]
+    hops = network.topology.hops_many(nodes[:, None], nodes[None, :])[cross]
+    return min((link.p2p_time(1, int(h)) for h in np.unique(hops)),
+               default=math.inf)

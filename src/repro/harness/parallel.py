@@ -161,13 +161,16 @@ def _run_one_text(
 
 
 #: per-task timing of the most recent ``run_experiments`` call:
-#: ``[(experiment id, wall seconds, "probe"|"pool"|"serial"|"cache")]``.
+#: ``[(experiment id, wall seconds, source)]`` with source one of
+#: ``"probe"|"pool"|"serial"|"cache"|"corrupt"``; a ``"corrupt"`` cache
+#: entry is followed by the experiment's fresh run.
 _last_stats: list[tuple[str, float, str]] = []
 
 
 def last_run_stats() -> list[tuple[str, float, str]]:
     """Per-task wall times of the most recent :func:`run_experiments`
-    call (cache hits report ~0 with source ``"cache"``)."""
+    call (cache hits report ~0 with source ``"cache"``, unreadable cache
+    entries ~0 with source ``"corrupt"``)."""
     return list(_last_stats)
 
 
@@ -216,9 +219,15 @@ def run_experiments(
         if cache is not None:
             path = cache / f"{cache_key(exp_id, backend, pricing)}.json"
             if path.is_file():
-                payloads[exp_id] = json.loads(path.read_text())
-                stats.append((exp_id, 0.0, "cache"))
-                continue
+                try:
+                    payloads[exp_id] = json.loads(path.read_text())
+                except (OSError, ValueError):
+                    # Unreadable or truncated entry: a counted miss; the
+                    # fresh run below republishes it.
+                    stats.append((exp_id, 0.0, "corrupt"))
+                else:
+                    stats.append((exp_id, 0.0, "cache"))
+                    continue
         missing.append(exp_id)
     if missing:
         from repro.ir import default_backend_name, set_default_backend
@@ -274,11 +283,12 @@ def run_experiments(
             if cache is not None:
                 cache.mkdir(parents=True, exist_ok=True)
                 path = cache / f"{cache_key(exp_id, backend, pricing)}.json"
-                tmp = path.with_suffix(".tmp")
+                tmp = path.with_name(
+                    f"{path.stem}.{os.getpid()}-{os.urandom(8).hex()}.tmp")
                 # The worker-serialized text is the cache entry verbatim:
                 # reloaded payloads serialize byte-identically to fresh
                 # ones because both come from the same dump.
                 tmp.write_text(text)
-                tmp.replace(path)  # atomic publish; concurrent sweeps race safely
+                tmp.replace(path)  # atomic publish; writers never share a temp
     _last_stats = stats
     return [payloads[exp_id] for exp_id in exp_ids]

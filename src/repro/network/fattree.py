@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.network.topology import Topology
 from repro.util.errors import ConfigurationError
 
@@ -46,6 +48,11 @@ class FatTreeTopology(Topology):
         if self.leaf_of(a) == self.leaf_of(b):
             return 2
         return 4
+
+    def hops_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        a, b = self.node_array(a), self.node_array(b)
+        same_leaf = a // self.nodes_per_leaf == b // self.nodes_per_leaf
+        return np.where(a == b, 0, np.where(same_leaf, 2, 4))
 
     def neighbors(self, node: int) -> list[int]:
         """Same-leaf peers (the only single-switch-reachable endpoints)."""

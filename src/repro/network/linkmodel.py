@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.util.rng import derive_seed
 from repro.util.errors import ConfigurationError
 from repro.util.units import KIB, MIB
@@ -57,6 +59,14 @@ class ProtocolModel:
             u = _unit_hash(self.seed, "jitter", src, dst, size.bit_length())
             return 1.0 - self.large_jitter * u
         return 1.0
+
+    def factors(self, src: np.ndarray, dst: np.ndarray, size: int) -> np.ndarray:
+        """:meth:`factor` over 1-D pair arrays; per-pair draws only inside
+        the bimodal and large-message windows."""
+        if self.bimodal_lo <= size < self.bimodal_hi or size >= self.large_threshold:
+            return np.array([self.factor(a, b, size)
+                             for a, b in zip(src.tolist(), dst.tolist())])
+        return np.ones(len(src))
 
 
 #: Protocol behaviour for Intel MPI on OmniPath: no observed bimodality in
@@ -102,6 +112,24 @@ class LinkModel:
             return self.shm_latency_s + size / self.shm_bandwidth
         bw = self.effective_bandwidth(size, hops, src, dst)
         return self.latency_s + hops * self.per_hop_latency_s + size / bw
+
+    def p2p_times(self, size: int, hops: np.ndarray, src: np.ndarray,
+                  dst: np.ndarray) -> np.ndarray:
+        """:meth:`p2p_time` over equal-shape hop and pair arrays, in the
+        same expression order (bit-identical lane by lane)."""
+        if size <= 0:
+            raise ConfigurationError("message size must be positive")
+        out = np.empty(hops.shape)
+        shm = hops == 0
+        out[shm] = self.shm_latency_s + size / self.shm_bandwidth
+        fabric = ~shm
+        h = hops[fabric]
+        ramp = size / (size + self.s_half)
+        proto = self.protocol.factors(src[fabric], dst[fabric], size)
+        derate = np.maximum(0.5, 1.0 - self.hop_bw_derate * np.maximum(0, h - 1))
+        bw = self.bandwidth * ramp * proto * derate
+        out[fabric] = self.latency_s + h * self.per_hop_latency_s + size / bw
+        return out
 
 
 #: TofuD: 6.8 GB/s injection (Ajima et al. [7]), sub-microsecond put latency.

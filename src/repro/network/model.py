@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from repro.machine.cluster import ClusterModel
 from repro.network.faults import FaultModel, cte_arm_faults
 from repro.network.fattree import FatTreeTopology
@@ -20,10 +22,11 @@ from repro.network.torus import tofu_d
 from repro.util.errors import ConfigurationError
 
 
-#: Entry cap of the per-model (src, dst, size) timing cache.  All-pairs
-#: sweeps over a 192-node fabric at ~30 message sizes stay under it; on
-#: overflow the cache is dropped wholesale (recomputation is cheap, an
-#: eviction policy is not worth the bookkeeping on this hot path).
+#: Entry cap of the per-model (src, dst, size) timing cache, which serves
+#: per-message callers (the DES, the batch pricer); all-pairs sweeps go
+#: through :meth:`NetworkModel.p2p_times` and never fill it.  On overflow
+#: the cache is dropped wholesale (recomputation is cheap, an eviction
+#: policy is not worth the bookkeeping on this hot path).
 _P2P_CACHE_MAX = 1 << 18
 
 
@@ -36,7 +39,8 @@ class NetworkModel:
     so the *pre-fault* base time is cached and the fault factor applied
     live — mutating :attr:`faults` (``degrade_receiver``/...) takes
     effect immediately, while rebinding :attr:`topology` or :attr:`link`
-    invalidates the caches.
+    invalidates the caches.  ``p2p_times`` prices whole pair arrays for
+    sweeps, bit-identical to the scalar calls, without touching the memo.
     """
 
     topology: Topology
@@ -112,6 +116,32 @@ class NetworkModel:
         if factor <= 0.0:
             return math.inf  # dead link or crashed endpoint: unreachable
         return base / factor
+
+    def p2p_times(self, src: np.ndarray, dst: np.ndarray, size: int) -> np.ndarray:
+        """:meth:`p2p_time` over broadcast arrays of node ids.
+
+        Bit-identical to the scalar call lane by lane.  The fault factors
+        are read from :attr:`faults` at call time (keys outside the
+        fabric are ignored); the scalar memo is neither read nor filled.
+        """
+        if size <= 0:
+            raise ConfigurationError("message size must be positive")
+        src, dst = np.broadcast_arrays(np.asarray(src, dtype=np.int64),
+                                       np.asarray(dst, dtype=np.int64))
+        hops = self.topology.hops_many(src, dst)
+        base = self.link.p2p_times(size, hops, src, dst)
+        factor = (self._factor_vector(self.faults.send_factors)[src]
+                  * self._factor_vector(self.faults.recv_factors)[dst])
+        with np.errstate(divide="ignore"):
+            # dead link or crashed endpoint: unreachable
+            return np.where(factor <= 0.0, math.inf, base / factor)
+
+    def _factor_vector(self, factors: dict[int, float]) -> np.ndarray:
+        out = np.ones(self.n_nodes)
+        for node, f in factors.items():
+            if 0 <= node < self.n_nodes:
+                out[node] = f
+        return out
 
     def sendrecv_time(self, a: int, b: int, size: int) -> float:
         """One MPI_Sendrecv iteration between nodes a and b.

@@ -10,6 +10,7 @@ from __future__ import annotations
 import abc
 
 import networkx as nx
+import numpy as np
 
 from repro.util.errors import ConfigurationError
 
@@ -28,9 +29,20 @@ class Topology(abc.ABC):
                 f"node {node} out of range 0..{self.n_nodes - 1}"
             )
 
+    def node_array(self, nodes) -> np.ndarray:
+        """Node ids as an int64 array, range-checked like :meth:`check_node`."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        for node in (nodes.min(), nodes.max()) if nodes.size else ():
+            self.check_node(int(node))
+        return nodes
+
     @abc.abstractmethod
     def hops(self, a: int, b: int) -> int:
         """Switch/router hops on the route from node ``a`` to node ``b``."""
+
+    @abc.abstractmethod
+    def hops_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """:meth:`hops` over broadcast int arrays of node ids."""
 
     @abc.abstractmethod
     def neighbors(self, node: int) -> list[int]:
@@ -43,14 +55,14 @@ class Topology(abc.ABC):
 
     def average_hops(self) -> float:
         """Mean hops over all ordered pairs (excluding self-pairs)."""
-        if self.n_nodes == 1:
+        n = self.n_nodes
+        if n == 1:
             return 0.0
-        total = 0
-        for a in range(self.n_nodes):
-            for b in range(self.n_nodes):
-                if a != b:
-                    total += self.hops(a, b)
-        return total / (self.n_nodes * (self.n_nodes - 1))
+        nodes = np.arange(n)
+        # Self-pairs contribute 0 hops; one row at a time bounds memory.
+        total = sum(int(self.hops_many(a, nodes).sum())
+                    for a in range(n))
+        return total / (n * (n - 1))
 
     def to_networkx(self) -> nx.Graph:
         """Export the direct-link graph for external analysis."""

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.network.topology import Topology
 from repro.util.errors import ConfigurationError
 
@@ -65,6 +67,14 @@ class TorusTopology(Topology):
         return sum(
             self._ring_distance(x, y, d) for x, y, d in zip(ca, cb, self.dims)
         )
+
+    def hops_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        a, b = self.node_array(a), self.node_array(b)
+        total = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+        for d, s in zip(self.dims, self._strides):
+            delta = np.abs(a // s % d - b // s % d)
+            total += np.minimum(delta, d - delta)
+        return total
 
     def neighbors(self, node: int) -> list[int]:
         c = list(self.coords(node))

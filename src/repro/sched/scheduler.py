@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import enum
 
+import numpy as np
+
 from repro.machine.cluster import ClusterModel
 from repro.network.topology import Topology
 from repro.sched.jobs import Job
@@ -153,9 +155,8 @@ class Scheduler:
             raise AllocationError("scheduler has no topology attached")
         if len(nodes) < 2:
             return 0
-        return max(
-            self.topology.hops(a, b) for a in nodes for b in nodes if a != b
-        )
+        ids = np.asarray(nodes)
+        return int(self.topology.hops_many(ids[:, None], ids[None, :]).max())
 
     def min_feasible_nodes(self, job: Job) -> int:
         """Smallest node count at which the job fits in memory."""

@@ -117,6 +117,18 @@ class TestFig4and5:
         assert levels(torus_map) > 2 * levels(fat_map)
         assert diagonal_banding_score(torus_map) > 0.2
 
+    def test_map_needs_a_node(self, small_net):
+        with pytest.raises(ConfigurationError):
+            pairwise_bandwidth_map(small_net, n_nodes=0)
+        m = pairwise_bandwidth_map(small_net, n_nodes=1)
+        assert m.shape == (1, 1) and np.isnan(m[0, 0])
+
+    def test_map_of_a_sub_partition(self, small_net):
+        m = pairwise_bandwidth_map(small_net, size=256, n_nodes=5)
+        want = [[np.nan if a == b else 256 / small_net.p2p_time(a, b, 256)
+                 for b in range(5)] for a in range(5)]
+        assert np.array_equal(m, want, equal_nan=True)
+
     def test_weak_node_in_full_map(self, arm):
         net = network_for(arm)
         m = pairwise_bandwidth_map(net, size=256)

@@ -1,11 +1,16 @@
 """Network models: topologies, link timing, faults, the network facade."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network import (
     FatTreeTopology,
     FaultModel,
+    NetworkModel,
     TorusTopology,
     network_for,
     tofu_d,
@@ -213,3 +218,95 @@ class TestNetworkModel:
     def test_invalid_partition(self, arm):
         with pytest.raises(ConfigurationError):
             network_for(arm, n_nodes=0)
+
+
+@st.composite
+def _networks(draw):
+    """A torus or fat tree of random size with random (possibly dead,
+    possibly off-fabric) directional faults."""
+    if draw(st.booleans()):
+        dims = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)))
+        net = NetworkModel(TorusTopology(dims), TOFUD_LINK)
+    else:
+        n = draw(st.integers(1, 80))
+        net = NetworkModel(
+            FatTreeTopology(n, nodes_per_leaf=draw(st.integers(1, 24))),
+            OMNIPATH_LINK)
+    factor = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    node = st.integers(0, net.n_nodes + 3)
+    for node_id, f in draw(st.dictionaries(node, factor, max_size=4)).items():
+        net.faults.degrade_receiver(node_id, f)
+    for node_id, f in draw(st.dictionaries(node, factor, max_size=4)).items():
+        net.faults.degrade_sender(node_id, f)
+    return net
+
+
+#: shm/small (< 1 KiB), bimodal (1 KiB..256 KiB), the gap below 1 MiB,
+#: and large (>= 1 MiB) message sizes.
+_sizes = st.sampled_from([1, 8, 256, 1023, 1024, 4096, 65536, 262143,
+                          262144, 512 * KIB, MIB, 4 * MIB, 16 * MIB])
+
+
+class TestVectorPairPricing:
+    """``p2p_times``/``hops_many`` are bit-identical to the scalar path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_networks(), _sizes, st.data())
+    def test_matches_scalar(self, net, size, data):
+        node = st.integers(0, net.n_nodes - 1)
+        pairs = data.draw(st.lists(st.tuples(node, node), max_size=40))
+        src = np.array([a for a, _ in pairs], dtype=np.int64)
+        dst = np.array([b for _, b in pairs], dtype=np.int64)
+        want_hops = [net.topology.hops(a, b) for a, b in pairs]
+        assert np.array_equal(net.topology.hops_many(src, dst), want_hops)
+        want = [net.p2p_time(a, b, size) for a, b in pairs]
+        assert np.array_equal(net.p2p_times(src, dst, size), want)
+
+    def test_reads_faults_live(self, arm):
+        net = network_for(arm)
+        src, dst = np.array([0, 1, 2]), np.array([5, 5, 6])
+        before = net.p2p_times(src, dst, 4096)
+        net.apply_fault_transition(lambda fm: fm.degrade_receiver(5, 0.5))
+        after = net.p2p_times(src, dst, 4096)
+        assert np.array_equal(after[:2], 2.0 * before[:2])
+        assert after[2] == before[2]
+
+    def test_dead_direction_reads_zero_bandwidth(self, arm):
+        net = network_for(arm, healthy=True)
+        net.faults.degrade_sender(3, 0.0)
+        times = net.p2p_times(np.array([3, 4]), np.array([4, 3]), 256)
+        assert times[0] == math.inf and math.isfinite(times[1])
+        assert (256 / times)[0] == 0.0
+
+    def test_off_fabric_fault_keys_ignored(self, arm):
+        net = network_for(arm, n_nodes=24, healthy=True)
+        net.faults.degrade_receiver(500, 0.5).degrade_sender(-1, 0.0)
+        src, dst = np.arange(24), np.arange(24)[::-1]
+        want = [net.p2p_time(a, b, 256) for a, b in zip(src, dst)]
+        assert np.array_equal(net.p2p_times(src, dst, 256), want)
+
+    def test_rejects_bad_nodes_and_sizes(self, arm, mn4):
+        net = network_for(arm, n_nodes=24)
+        with pytest.raises(ConfigurationError):
+            net.p2p_times(np.array([0, 24]), np.array([1, 2]), 256)
+        with pytest.raises(ConfigurationError):
+            net.p2p_times(np.array([-1]), np.array([1]), 256)
+        with pytest.raises(ConfigurationError):
+            net.p2p_times(np.array([0]), np.array([1]), 0)
+        fat = network_for(mn4, n_nodes=48)
+        with pytest.raises(ConfigurationError):
+            fat.topology.hops_many(np.array([0]), np.array([48]))
+
+    def test_bypasses_scalar_memo(self, arm):
+        net = network_for(arm)
+        nodes = np.arange(net.n_nodes)
+        net.p2p_times(np.repeat(nodes, 2), np.tile(nodes, 2), 256)
+        assert not net._base_cache and not net._hops_cache
+
+    def test_average_hops_matches_pair_loop(self):
+        for topo in (tofu_d(48), FatTreeTopology(50, nodes_per_leaf=8)):
+            n = topo.n_nodes
+            total = sum(topo.hops(a, b)
+                        for a in range(n) for b in range(n) if a != b)
+            assert topo.average_hops() == total / (n * (n - 1))
+        assert FatTreeTopology(1).average_hops() == 0.0

@@ -65,6 +65,36 @@ class TestResultCache:
         run_experiments([_IDS[0]], cache_dir=tmp_path)
         assert len(list(tmp_path.glob("*.json"))) == 2
 
+    @pytest.mark.parametrize("damage", ["truncate", "binary"])
+    def test_corrupt_entry_is_a_counted_miss(self, tmp_path, damage):
+        from repro.harness.parallel import last_run_stats
+
+        fresh = run_experiments(_IDS[:2], jobs=1, cache_dir=tmp_path)
+        path = tmp_path / f"{cache_key(_IDS[0])}.json"
+        text = path.read_text()
+        if damage == "truncate":
+            path.write_text(text[: len(text) // 2])
+        else:
+            path.write_bytes(b"\xff\xfe\x00garbage")
+        again = run_experiments(_IDS[:2], jobs=1, cache_dir=tmp_path)
+        assert json.dumps(again) == json.dumps(fresh)
+        assert [s[::2] for s in last_run_stats()] == [
+            (_IDS[0], "corrupt"), (_IDS[1], "cache"), (_IDS[0], "probe")]
+        # The fresh run republished the entry: the next sweep hits.
+        assert path.read_text() == text
+        run_experiments(_IDS[:2], jobs=1, cache_dir=tmp_path)
+        assert [s[2] for s in last_run_stats()] == ["cache", "cache"]
+
+    def test_writers_use_private_temp_files(self, tmp_path):
+        # Another writer's in-flight shared-name temp file (here a
+        # directory that cannot be overwritten) must not block publishing.
+        path = tmp_path / f"{cache_key(_IDS[0])}.json"
+        path.with_suffix(".tmp").mkdir()
+        fresh = run_experiments([_IDS[0]], jobs=1, cache_dir=tmp_path)
+        assert json.loads(path.read_text()) == fresh[0]
+        assert [p.name for p in tmp_path.glob("*.tmp")] == [
+            path.with_suffix(".tmp").name]
+
 
 class TestPoolThreshold:
     def test_small_suite_never_spawns_a_pool(self, monkeypatch):
