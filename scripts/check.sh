@@ -388,6 +388,39 @@ EOF
     then
         status=1
     fi
+    echo "== pareto audit (2,000 seeded arrays vs brute-force dominance) =="
+    if ! PYTHONPATH=src python - <<'EOF'
+"""Check pareto_indices against the definition in repro.tune.dominates,
+evaluated all-pairs: a point is on the frontier iff no other point
+dominates it.  Small value pools force ties and exact duplicates; +-inf
+appears in both coordinates."""
+import numpy as np
+from repro.tune import dominates, pareto_indices
+
+rng = np.random.default_rng(2021)
+pool = np.asarray([-np.inf, 0.0, 1.0, 1.5, 2.0, 3.0, 5.0, np.inf])
+points = 0
+for _ in range(2000):
+    n = int(rng.integers(0, 64))
+    t = rng.choice(pool[: int(rng.integers(2, pool.size + 1))], n)
+    e = rng.choice(pool, n)
+    # dom[j, i] == dominates((t[j], e[j]), (t[i], e[i]))
+    dom = ((t[:, None] <= t) & (e[:, None] <= e)
+           & ((t[:, None] < t) | (e[:, None] < e)))
+    if n:
+        j, i = rng.integers(0, n, 2)
+        assert dom[j, i] == dominates((t[j], e[j]), (t[i], e[i]))
+    want = np.flatnonzero(~dom.any(axis=0))
+    got = pareto_indices(t, e)
+    assert got.tolist() == want.tolist(), (t.tolist(), e.tolist(),
+                                           got.tolist(), want.tolist())
+    points += n
+print(f"pareto audit OK: 2000 arrays, {points:,} points, every frontier "
+      f"equals the brute-force dominance definition")
+EOF
+    then
+        status=1
+    fi
 fi
 
 [ -n "$skipped" ] && echo "skipped (not installed):$skipped"

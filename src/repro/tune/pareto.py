@@ -6,10 +6,13 @@ set of non-dominated points; points that tie a frontier point on BOTH
 coordinates are kept (they are alternative configurations with
 identical cost, which is exactly what a tuner should surface).
 
-The sweep is O(n log n): lexsort by (time, energy), then walk time
-groups left to right tracking the best energy seen at strictly smaller
-time.  A group survives iff its minimum energy beats that bound, and
-within a surviving group only the minimum-energy members survive.
+The sweep is O(n log n) with no per-point loop: an O(n) box drops the
+points a fastest or a greenest point dominates, the rest are lexsorted
+by (time, energy), and a running minimum over equal-time groups gives
+the best energy at strictly smaller time.  A group survives iff its
+minimum beats that bound (the first group always does), and within it
+only the minimum-energy members survive.  NaN has no place in either
+order, so it is rejected rather than guessed at.
 
 Chunked/parallel tuning relies on the standard merge property:
 ``frontier(A ∪ B) ⊆ frontier(A) ∪ frontier(B)`` — a point dominated
@@ -19,6 +22,8 @@ independent of chunking and worker count.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -37,6 +42,7 @@ def pareto_indices(times: np.ndarray, energies: np.ndarray) -> np.ndarray:
     duplicates of a frontier coordinate pair are all returned; the
     ascending-index order makes the result deterministic regardless of
     how the inputs were produced (chunk merges preserve global indices).
+    A NaN in either array raises :class:`ValueError` naming its index.
     """
     t = np.asarray(times, dtype=np.float64)
     e = np.asarray(energies, dtype=np.float64)
@@ -45,21 +51,25 @@ def pareto_indices(times: np.ndarray, energies: np.ndarray) -> np.ndarray:
             f"times/energies must be equal-length 1-D, got {t.shape} "
             f"and {e.shape}"
         )
-    n = t.shape[0]
-    if n == 0:
+    if t.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
+    fast, green = t.argmin(), e.argmin()     # argmin stops at a NaN
+    if math.isnan(t[fast]) or math.isnan(e[green]):
+        first = int(np.argmax(np.isnan(t) | np.isnan(e)))
+        raise ValueError(f"times/energies must not be NaN, got NaN at "
+                         f"index {first}")
+    # points with more energy than a fastest point, or more time than a
+    # greenest point, are dominated by it
+    box = np.flatnonzero((e <= e[fast]) & (t <= t[green]))
+    t, e = t[box], e[box]
     order = np.lexsort((e, t))  # primary: time, secondary: energy
-    keep: list[int] = []
-    best_e = np.inf
-    i = 0
-    while i < n:
-        j = i
-        while j < n and t[order[j]] == t[order[i]]:
-            j += 1
-        group = order[i:j]                    # one time value, e ascending
-        group_min_e = e[group[0]]
-        if group_min_e < best_e:
-            keep.extend(int(g) for g in group if e[g] == group_min_e)
-            best_e = group_min_e
-        i = j
-    return np.sort(np.asarray(keep, dtype=np.int64))
+    ts, es = t[order], e[order]
+    start = np.concatenate(([True], ts[1:] != ts[:-1]))
+    gid = np.cumsum(start) - 1                # time group of each point
+    gmin = es[start]                          # group minima (e ascending)
+    # a group survives iff its minimum beats every group at smaller time;
+    # the first has none, so it survives even at +inf energy
+    survive = np.concatenate(
+        ([True], gmin[1:] < np.minimum.accumulate(gmin[:-1])))
+    keep = survive[gid] & (es == gmin[gid])
+    return box[np.sort(order[keep])]

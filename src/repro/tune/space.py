@@ -212,8 +212,9 @@ def _page_factors(cluster: ClusterModel, rpn: int, tpr: int) -> tuple[float, ...
         return tuple(1.0 for _ in PAGE_POLICIES)
     factors: list[float] = []
     for policy in PAGE_POLICIES:
-        bw = node_stream_bandwidth(node, ranks=rpn, threads_per_rank=tpr,
-                                   policy=policy)
+        bw = (base if policy is PagePolicy.FIRST_TOUCH
+              else node_stream_bandwidth(node, ranks=rpn,
+                                         threads_per_rank=tpr, policy=policy))
         factors.append(min(1.0, bw / base))
     return tuple(factors)
 
@@ -251,6 +252,9 @@ def build_space(
     placements = placement_grid(cluster.node.cores)
     node_mem = cluster.node.memory_bytes
     footprint_share = model.distributed_bytes_total // n_nodes
+    # page factors depend on the placement alone: one contention-model
+    # pass per placement, shared by every compiler/vectorization cell
+    factors: dict[tuple[int, int], tuple[float, ...]] = {}
     for label, profile in sorted(COMPILERS.items()):
         if profile.target_isa != isa:
             acc.excluded.append(Exclusion(
@@ -276,6 +280,8 @@ def build_space(
                         f"per-node footprint {footprint / 2**30:.1f} GiB "
                         f"exceeds {node_mem / 2**30:.0f} GiB"))
                     continue
+                if (rpn, tpr) not in factors:
+                    factors[rpn, tpr] = _page_factors(cluster, rpn, tpr)
                 mapping = RankMapping(cluster, n_nodes,
                                       ranks_per_node=rpn,
                                       threads_per_rank=tpr)
@@ -287,7 +293,7 @@ def build_space(
                     threads_per_rank=tpr,
                     mapping=mapping,
                     binary=binary,
-                    page_factors=_page_factors(cluster, rpn, tpr),
+                    page_factors=factors[rpn, tpr],
                 ))
     grid = scenario_grid(scenarios, scenario_spread)
     return TuneSpace(

@@ -26,7 +26,12 @@ from repro.tune import (
     tune,
 )
 from repro.tune.engine import decode_point
-from repro.tune.space import scenario_grid
+from repro.tune.space import (
+    PAGE_POLICIES,
+    VEC_MODES,
+    _page_factors,
+    scenario_grid,
+)
 from repro.util.errors import ConfigurationError
 
 GOLDEN = Path(__file__).parent / "golden" / "tune_frontier.json"
@@ -48,7 +53,89 @@ def _cost_arrays(draw):
     return np.asarray(times), np.asarray(energies)
 
 
+def _pareto_loop_oracle(times, energies):
+    """The original per-point sweep: walk equal-time groups of the
+    (time, energy) lexsort, keeping a group's minimum-energy members
+    when they beat the best energy seen at strictly smaller time.  The
+    first group is always kept (``i == 0``): nothing precedes it, so not
+    even an all-``+inf``-energy first group is dominated."""
+    t = np.asarray(times, dtype=np.float64)
+    e = np.asarray(energies, dtype=np.float64)
+    n = t.shape[0]
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    order = np.lexsort((e, t))
+    keep: list[int] = []
+    best_e = np.inf
+    i = 0
+    while i < n:
+        j = i
+        while j < n and t[order[j]] == t[order[i]]:
+            j += 1
+        group = order[i:j]
+        group_min_e = e[group[0]]
+        if i == 0 or group_min_e < best_e:
+            keep.extend(int(g) for g in group if e[g] == group_min_e)
+            best_e = group_min_e
+        i = j
+    return np.sort(np.asarray(keep, dtype=np.int64))
+
+
+@st.composite
+def _edge_arrays(draw):
+    """NaN-free arrays, n in [0, 200], from small pools that force ties
+    and duplicates, with +-inf in both coordinates."""
+    n = draw(st.integers(min_value=0, max_value=200))
+    pool = st.sampled_from([-np.inf, -1.0, 0.0, 1.0, 2.0, 3.0, np.inf])
+    times = draw(st.lists(pool, min_size=n, max_size=n))
+    energies = draw(st.lists(pool, min_size=n, max_size=n))
+    return np.asarray(times), np.asarray(energies)
+
+
+def _chunk_merged(times, energies, chunk):
+    """Per-chunk frontiers merged by one final pass (the tuner's path)."""
+    cand = []
+    for lo in range(0, len(times), chunk):
+        hi = lo + chunk
+        cand.extend(
+            (pareto_indices(times[lo:hi], energies[lo:hi]) + lo).tolist())
+    cand = np.asarray(sorted(cand), dtype=np.int64)
+    return cand[pareto_indices(times[cand], energies[cand])].tolist()
+
+
 class TestPareto:
+    @given(_edge_arrays())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop_oracle(self, arrays):
+        times, energies = arrays
+        got = pareto_indices(times, energies)
+        want = _pareto_loop_oracle(times, energies)
+        assert got.tolist() == want.tolist()
+
+    @given(_edge_arrays(), st.integers(min_value=1, max_value=64))
+    @settings(max_examples=150, deadline=None)
+    def test_merge_property_holds_for_any_chunking(self, arrays, chunk):
+        times, energies = arrays
+        whole = pareto_indices(times, energies).tolist()
+        assert _chunk_merged(times, energies, chunk) == whole
+
+    @pytest.mark.parametrize("times, energies, first", [
+        ([1.0, 2.0, np.nan, np.nan], [4.0, 3.0, 2.0, 1.0], 2),
+        ([1.0, 2.0, 3.0, 4.0], [4.0, 3.0, np.nan, np.nan], 2),
+        ([1.0, 2.0, np.nan], [3.0, np.nan, 1.0], 1),
+    ])
+    def test_nan_rejected_with_first_index(self, times, energies, first):
+        with pytest.raises(ValueError, match=f"NaN at index {first}"):
+            pareto_indices(np.asarray(times), np.asarray(energies))
+
+    def test_infinite_energy_first_group_kept(self):
+        # nothing has smaller time, so nothing dominates these points
+        inf = np.inf
+        assert pareto_indices(np.asarray([1.0, 1.0]),
+                              np.asarray([inf, inf])).tolist() == [0, 1]
+        assert pareto_indices(np.asarray([-inf, 0.0, 2.0]),
+                              np.asarray([inf, 1.0, inf])).tolist() == [0, 1]
+
     @given(_cost_arrays())
     @settings(max_examples=200, deadline=None)
     def test_no_returned_point_dominated_no_dominated_included(self, arrays):
@@ -85,14 +172,7 @@ class TestPareto:
         times = rng.uniform(1, 10, 200)
         energies = rng.uniform(1, 10, 200)
         whole = pareto_indices(times, energies).tolist()
-        cand = []
-        for lo in range(0, 200, 33):
-            hi = min(lo + 33, 200)
-            cand.extend(
-                (pareto_indices(times[lo:hi], energies[lo:hi]) + lo).tolist())
-        cand = np.asarray(sorted(cand))
-        merged = cand[pareto_indices(times[cand], energies[cand])].tolist()
-        assert merged == whole
+        assert _chunk_merged(times, energies, 33) == whole
 
 
 # -- space enumeration --------------------------------------------------------
@@ -144,6 +224,43 @@ class TestSpace:
         space = build_space("nemo", _ARM, 16, scenarios=1)
         for template in space.templates:
             assert all(0.0 < f <= 1.0 for f in template.page_factors)
+
+    def test_page_factors_priced_once_per_placement(self, monkeypatch):
+        import repro.tune.space as space_mod
+
+        calls = []
+        real = space_mod.node_stream_bandwidth
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(space_mod, "node_stream_bandwidth", counting)
+        space = build_space("nemo", _ARM, 16, scenarios=1)
+        placements = {(t.ranks_per_node, t.threads_per_rank)
+                      for t in space.templates}
+        assert len(calls) <= (len(PAGE_POLICIES) + 1) * len(placements)
+        monkeypatch.undo()
+        for template in space.templates:
+            assert template.page_factors == _page_factors(
+                _ARM, template.ranks_per_node, template.threads_per_rank)
+        # exclusions keep their enumeration order: compilers sorted by
+        # label, vectorization modes in order within each
+        fujitsu = [(label, vec) for label in ("Fujitsu/1.1.18",
+                                              "Fujitsu/1.2.26b")
+                   for vec in VEC_MODES]
+        avx = [(label, "*") for label in ("GNU/8.4.2", "Intel/19.1.1.217",
+                                          "Intel/2017.4", "Intel/2018.4")]
+        assert [(e.compiler, e.vectorization)
+                for e in space.excluded] == fujitsu + avx
+        assert all("errors building NEMO" in e.reason
+                   for e in space.excluded[:4])
+        assert all("targets AVX512" in e.reason for e in space.excluded[4:])
+        assert [(t.compiler, t.vectorization, t.ranks_per_node,
+                 t.threads_per_rank) for t in space.templates] == [
+            (label, vec, rpn, tpr)
+            for label in ("GNU/11.0.0", "GNU/8.3.1-sve")
+            for vec in VEC_MODES for rpn, tpr in placement_grid(48)]
 
 
 # -- the engine ---------------------------------------------------------------
