@@ -126,6 +126,36 @@ EOF
     then
         status=1
     fi
+    echo "== DES calendar audit (768-rank NEMO, 1 engine vs 2 shards) =="
+    if ! PYTHONPATH=src python - <<'EOF'
+"""Pin the event calendar of the one-step 768-rank NEMO program: the same
+event count and bit-identical elapsed time and rank results on one engine
+and on 2 in-process shards (the figures the DES benchmark reports)."""
+from repro.apps import get_app
+from repro.des.shard import ShardedSpec, run_sharded
+from repro.machine import cte_arm
+
+cluster = cte_arm(16)
+app = get_app("nemo")
+mapping = app.mapping(cluster, 16)
+program = app.program(mapping, steps=1)
+binary = app.build(cluster)
+runs = {}
+for n_shards in (1, 2):
+    spec = ShardedSpec(program=program, mapping=mapping, n_shards=n_shards,
+                       binary=binary, world_kwargs={"trace": "off"})
+    result, stats = run_sharded(spec)
+    runs[n_shards] = (stats.events, repr(result.elapsed), result.rank_results)
+for n_shards, (events, elapsed, _) in runs.items():
+    assert events == 157063, f"{n_shards} shard(s): {events} events"
+    assert elapsed == "0.8046910547218572", f"{n_shards} shard(s): {elapsed}"
+assert runs[1] == runs[2], "2 shards must reproduce one engine exactly"
+print(f"DES calendar OK: {runs[1][0]} events, elapsed {runs[1][1]} s "
+      f"on 1 engine and on 2 shards")
+EOF
+    then
+        status=1
+    fi
     echo "== batched-vs-scalar differential smoke =="
     if ! PYTHONPATH=src python - <<'EOF'
 import os

@@ -80,7 +80,10 @@ class Channel:
     def __init__(self, engine: Engine, label: str = "") -> None:
         self.engine = engine
         self.label = label
+        self._recv_label = f"recv:{label}"
         self._mailbox: dict[tuple[Any, Any], deque[Any]] = {}
+        #: blocked receives per key; a key is dropped once its queue
+        #: empties, so an empty dict means nobody is waiting.
         self._getters: dict[tuple[Any, Any], deque[Event]] = {}
 
     def _key(self, source: Any, tag: Any) -> tuple[Any, Any]:
@@ -92,15 +95,20 @@ class Channel:
 
     def put(self, source: Any, tag: Any, payload: Any) -> None:
         """Deliver a message; wakes one matching getter if present."""
-        keys = [(source, tag)]
-        if isinstance(tag, tuple) and len(tag) == 2:
-            keys.append((source, (tag[0], None)))  # namespaced wildcard
-        keys.append((source, self._ANY))
-        for key in keys:
-            waiters = self._getters.get(key)
-            if waiters:
-                waiters.popleft().succeed(payload)
-                return
+        getters = self._getters
+        if getters:
+            keys = [(source, tag)]
+            if isinstance(tag, tuple) and len(tag) == 2:
+                keys.append((source, (tag[0], None)))  # namespaced wildcard
+            keys.append((source, self._ANY))
+            for key in keys:
+                waiters = getters.get(key)
+                if waiters:
+                    getter = waiters.popleft()
+                    if not waiters:
+                        del getters[key]
+                    getter.succeed(payload)
+                    return
         self._mailbox.setdefault((source, tag), deque()).append(payload)
 
     def _match_stored(self, source: Any, tag: Any) -> tuple[Any, Any] | None:
@@ -123,7 +131,7 @@ class Channel:
 
     def get(self, source: Any, tag: Any = None) -> Event:
         """Event that fires with the payload of the next matching message."""
-        ev = self.engine.event(label=f"recv:{self.label}")
+        ev = Event(self.engine, self._recv_label)
         key = self._match_stored(source, tag)
         if key is not None:
             ev.succeed(self._mailbox[key].popleft())

@@ -186,26 +186,49 @@ def cross_shard_rank_pairs(
     """Cross-shard (src, dst) rank pairs of the program's lowering.
 
     Built from the symbolic unrolling of the real lowering rules: user
-    sends/recvs contribute their exact pairs; a collective whose members
-    straddle shards contributes every cross-shard member pair (its
-    internal algorithm may connect any two members).  Returns None when
-    the inventory cannot be trusted to be complete — truncated unrolling,
-    rank count over :data:`INVENTORY_RANK_CAP`, or an analysis failure —
-    and the caller must fall back to the all-pairs bound.
+    sends/recvs contribute their exact pairs.  Returns None when the
+    inventory cannot be trusted to be complete or would be all pairs
+    anyway — truncated unrolling, rank count over
+    :data:`INVENTORY_RANK_CAP`, a barrier or collective on more than one
+    shard (its internal algorithm may connect any two members), or an
+    analysis failure — and the caller must fall back to the all-pairs
+    bound.  The truncation and collective checks read the
+    rank-independent schedule, so they cost no per-rank unrolling.
     """
     if plan.n_ranks > INVENTORY_RANK_CAP:
         return None
-    from repro.ir.analyze.trace import CollEv, RecvEv, SendEv, unroll
+    from repro.ir.analyze.trace import (
+        DEFAULT_MAX_UNROLL,
+        ROOTED_KINDS,
+        SYNC_KINDS,
+        RecvEv,
+        SendEv,
+        _flatten,
+        unroll,
+    )
+    from repro.ir.ops import Barrier
     from repro.util.errors import ReproError
 
-    try:
-        traces = unroll(program, plan.n_ranks)
-    except ReproError:
-        return None
-    if traces.truncated:
+    # The rank-independent schedule decides both early exits, so the
+    # per-rank unrolling only runs when its pairs are actually used.
+    sched, truncated = _flatten(program, DEFAULT_MAX_UNROLL)
+    if truncated:
         # A longer loop could only repeat channels already seen on the
         # unrolled iterations *if* every iteration is structurally alike;
         # fractional-count CommOps break that, so stay conservative.
+        return None
+    if plan.n_shards > 1 and any(
+        isinstance(op, Barrier) or op.kind in SYNC_KINDS | ROOTED_KINDS
+        for _phase, op in sched
+    ):
+        # The lowering's collectives span the world communicator: their
+        # internal algorithms may connect any two ranks, so the inventory
+        # degenerates to all pairs — signal the caller to use the
+        # (cheaper) node-level all-pairs bound.
+        return None
+    try:
+        traces = unroll(program, plan.n_ranks)
+    except ReproError:
         return None
     pairs: set[tuple[int, int]] = set()
     for rank in range(plan.n_ranks):
@@ -217,12 +240,6 @@ def cross_shard_rank_pairs(
             elif isinstance(ev, RecvEv):
                 if plan.shard_of_rank(ev.src) != my_shard:
                     pairs.add((ev.src, rank))
-            elif isinstance(ev, CollEv) and plan.n_shards > 1:
-                # The lowering's collectives span the world communicator:
-                # their internal algorithms may connect any two ranks, so
-                # the inventory degenerates to all pairs — signal the
-                # caller to use the (cheaper) node-level all-pairs bound.
-                return None
     return pairs
 
 

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.des.shard.partition import ShardPlan
 from repro.des.trace import TraceRecorder
-from repro.simmpi.world import RankProgram, World
+from repro.simmpi.world import RankProgram, World, _Delivery
 from repro.util.errors import ConfigurationError, SimulationError
 
 if TYPE_CHECKING:
@@ -56,20 +56,6 @@ class CrossMsg:
     src: int  # sender's communicator-local rank (channel matching key)
     key: tuple
     payload: Any
-
-
-class _Delivery:
-    """Reusable calendar entry that lands one injected message."""
-
-    __slots__ = ("world", "msg")
-
-    def __init__(self, world: "ShardWorld", msg: CrossMsg) -> None:
-        self.world = world
-        self.msg = msg
-
-    def _resolve(self) -> None:
-        msg = self.msg
-        self.world.channel(msg.dst_rank).put(msg.src, msg.key, msg.payload)
 
 
 @dataclass
@@ -128,6 +114,9 @@ class ShardWorld(World):
             )
         self.plan = plan
         self.shard_index = shard_index
+        #: this shard's contiguous rank block (the locality test of
+        #: :meth:`schedule_delivery`).
+        self._local = plan.local_ranks(shard_index)
         self.outbox: list[CrossMsg] = []
         self._out_seq = 0
         self._processes: "dict[int, Process]" = {}
@@ -142,7 +131,7 @@ class ShardWorld(World):
         payload: Any,
         t_transfer: float,
     ) -> None:
-        if self.plan.shard_of_rank(dst_rank) == self.shard_index:
+        if dst_rank in self._local:
             super().schedule_delivery(
                 dst_rank, src_comm_rank, key, payload, t_transfer
             )
@@ -177,7 +166,8 @@ class ShardWorld(World):
                 f"t={msg.time:g}s, but shard {self.shard_index} is already "
                 f"at t={self.engine.now:g}s — lookahead violated"
             )
-        self.engine._schedule(msg.time, _Delivery(self, msg))
+        self.engine._schedule(msg.time, _Delivery(
+            self.channel(msg.dst_rank), msg.src, msg.key, msg.payload))
 
     # -- run lifecycle (start / windows / finish) ----------------------------
 
@@ -198,7 +188,7 @@ class ShardWorld(World):
         if state is not None:
             state.start_injector()
         procs: "dict[int, Process]" = {}
-        for rank in self.plan.local_ranks(self.shard_index):
+        for rank in self._local:
             comm = self.comm(rank)
             gen = program(comm, *args, **kwargs)
             if state is not None:

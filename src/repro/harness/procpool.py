@@ -18,6 +18,8 @@ from multiprocessing.connection import Connection, wait
 from time import perf_counter
 from typing import Any, Callable, Iterable, Iterator
 
+from repro.util.errors import WorkerLostError
+
 
 def _pool_worker(
     conn: Connection, factory: Callable[[Any], Any], init: Any
@@ -82,17 +84,19 @@ class PersistentPool:
     def call_all(self, messages: list[Any]) -> list[Any]:
         """Send ``messages[i]`` to worker ``i``; gather replies in worker
         order.  A worker-side exception is re-raised here after the whole
-        batch has been collected (no worker is left mid-protocol)."""
+        batch has been collected (no worker is left mid-protocol); a
+        worker that dies raises :class:`~repro.util.errors.WorkerLostError`
+        with the pool closed."""
         if len(messages) != len(self._conns):
             raise ValueError(
                 f"{len(messages)} messages for {len(self._conns)} workers"
             )
-        for conn, msg in zip(self._conns, messages):
-            conn.send(("call", msg))
+        for i, msg in enumerate(messages):
+            self._send(i, ("call", msg))
         replies: list[Any] = []
         error: BaseException | None = None
-        for i, conn in enumerate(self._conns):
-            kind, payload, wall = conn.recv()
+        for i in range(len(self._conns)):
+            kind, payload, wall = self._recv(i)
             self.call_walls[i].append(wall)
             if kind == "err":
                 error = error if error is not None else payload
@@ -115,9 +119,11 @@ class PersistentPool:
         restores input order — so both memory and outstanding work stay
         bounded for million-point streams.  The input iterable is
         consumed lazily.  A worker-side exception stops dispatch, drains
-        the in-flight calls, closes the pool, and re-raises.  Abandoning
-        the generator mid-stream leaves in-flight calls un-collected;
-        ``close()`` still shuts the workers down cleanly.
+        the in-flight calls, closes the pool, and re-raises; a dead
+        worker raises :class:`~repro.util.errors.WorkerLostError` with the
+        pool closed.  Abandoning the generator mid-stream leaves in-flight
+        calls un-collected; ``close()`` still shuts the workers down
+        cleanly.
         """
         feed = enumerate(iter(messages))
         pending: dict[int, int] = {}   # worker index -> message index
@@ -138,12 +144,12 @@ class PersistentPool:
                     break
                 worker = idle.pop()
                 pending[worker] = idx
-                self._conns[worker].send(("call", msg))
+                self._send(worker, ("call", msg))
             if not pending:
                 break
             for conn in wait([self._conns[w] for w in pending]):
                 worker = by_conn[id(conn)]
-                kind, payload, wall = conn.recv()  # type: ignore[union-attr]
+                kind, payload, wall = self._recv(worker)
                 self.call_walls[worker].append(wall)
                 idx = pending.pop(worker)
                 idle.append(worker)
@@ -164,6 +170,37 @@ class PersistentPool:
     def map(self, messages: Iterable[Any]) -> list[Any]:
         """Materialized :meth:`imap` — all results, in input order."""
         return list(self.imap(messages))
+
+    def _send(self, worker: int, msg: Any) -> None:
+        try:
+            self._conns[worker].send(msg)
+        except (BrokenPipeError, ConnectionResetError, EOFError) as exc:
+            raise self._lost(worker) from exc
+
+    def _recv(self, worker: int) -> Any:
+        try:
+            return self._conns[worker].recv()
+        except (ConnectionResetError, EOFError) as exc:
+            raise self._lost(worker) from exc
+
+    def _lost(self, worker: int) -> WorkerLostError:
+        """Close the pool after ``worker`` died; the error to raise.
+
+        The survivors are mid-call, so they are terminated rather than
+        asked to stop (a reply nobody reads could block them on a full
+        pipe until ``close`` gives up on them).
+        """
+        proc = self._procs[worker]
+        proc.join(timeout=5.0)
+        for other in self._procs:
+            if other.is_alive():
+                other.terminate()
+        self.close()
+        return WorkerLostError(
+            f"pool worker {worker} died mid-call "
+            f"(exit code {proc.exitcode})",
+            worker=worker, exitcode=proc.exitcode,
+        )
 
     def close(self) -> None:
         for conn in self._conns:

@@ -49,14 +49,15 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple, Union
 
-from repro.ir.lower import _comm_reps, _halo_ndims, grid_neighbors
-from repro.ir.ops import Barrier, CommOp, Loop, Phase
+from repro.ir.lower import _comm_reps, _halo_ndims, flatten_phases, grid_neighbors
+from repro.ir.ops import Barrier, CommOp
 from repro.ir.program import Program
 from repro.util.errors import ConfigurationError
 
 __all__ = [
     "CollEv",
     "DEFAULT_EAGER_THRESHOLD",
+    "DEFAULT_MAX_UNROLL",
     "Event",
     "RecvEv",
     "ROOTED_KINDS",
@@ -66,6 +67,9 @@ __all__ = [
     "USER_CHANNEL",
     "unroll",
 ]
+
+#: loop trips :func:`unroll` covers by default (see "Loop bounds" above).
+DEFAULT_MAX_UNROLL = 4
 
 #: mirrors ``World.eager_threshold`` (32 KiB): messages at or below this
 #: size are buffered eagerly; larger ones rendezvous.
@@ -149,27 +153,15 @@ def _flatten(
 ) -> tuple[list[tuple[str, CommOp | Barrier]], bool]:
     """Rank-independent occurrence schedule: ``(phase_name, op)`` pairs in
     program order, loops unrolled to at most ``max_unroll`` trips."""
+    phases, truncated = flatten_phases(program.body, max_unroll)
     sched: list[tuple[str, CommOp | Barrier]] = []
-    truncated = False
-
-    def walk(items: tuple[Phase | Loop, ...], step: int) -> None:
-        nonlocal truncated
-        for item in items:
-            if isinstance(item, Loop):
-                trips = min(item.count, max_unroll)
-                if trips < item.count:
-                    truncated = True
-                for i in range(trips):
-                    walk(item.body, i)
-            else:
-                for op in item.ops:
-                    if isinstance(op, Barrier):
-                        sched.append((item.name, op))
-                    elif isinstance(op, CommOp):
-                        for _ in range(_comm_reps(op, step)):
-                            sched.append((item.name, op))
-
-    walk(program.body, 0)
+    for phase, step in phases:
+        for op in phase.ops:
+            if isinstance(op, Barrier):
+                sched.append((phase.name, op))
+            elif isinstance(op, CommOp):
+                for _ in range(_comm_reps(op, step)):
+                    sched.append((phase.name, op))
     return sched, truncated
 
 
@@ -178,7 +170,7 @@ def unroll(
     n_ranks: int,
     *,
     tag_scheme: str = "instance",
-    max_unroll: int = 4,
+    max_unroll: int = DEFAULT_MAX_UNROLL,
     eager_threshold: int = DEFAULT_EAGER_THRESHOLD,
 ) -> Traces:
     """Unroll ``program`` into per-rank abstract communication traces.

@@ -25,6 +25,10 @@ Lowering rules
   or a collective would desynchronize.
 * ``Barrier`` — the dissemination barrier.
 
+:func:`lower` unrolls the loops once into the rank-independent schedule of
+:func:`flatten_phases` (shared with :mod:`repro.ir.analyze.trace`); each
+rank program is one loop over it, with no per-loop or per-phase frames.
+
 Process-grid rule (the ``des_runner._grid_neighbors`` fix)
 ----------------------------------------------------------
 
@@ -41,7 +45,7 @@ rank counts when comparing against the analytic model.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Generator, Sequence
 
 from repro.ir.ops import Barrier, CommOp, ComputeOp, Loop, MemOp, Phase, SerialOp
 from repro.machine.models import (
@@ -57,7 +61,6 @@ from repro.util.errors import ConfigurationError
 
 if TYPE_CHECKING:
     from repro.ir.program import Program
-    from repro.machine.core import CoreModel
     from repro.simmpi.comm import Comm
 
 
@@ -136,115 +139,36 @@ def _comm_reps(op: CommOp, step: int) -> int:
     return max(1, round(op.count))
 
 
-def _emit_comm(comm: "Comm", op: CommOp, n_ranks: int) -> Iterator[Any]:
-    if op.kind == "halo":
-        ndims = _halo_ndims(op.neighbors)
-        for nb in grid_neighbors(comm.rank, n_ranks, ndims=ndims):
-            yield from comm.sendrecv(nb, VirtualPayload(op.size), size=op.size)
-    elif op.kind == "ring":
-        if n_ranks > 1:
-            right = (comm.rank + 1) % n_ranks
-            left = (comm.rank - 1) % n_ranks
-            yield from comm.sendrecv(right, VirtualPayload(op.size),
-                                     source=left, size=op.size)
-    elif op.kind == "p2p":
-        partner = comm.rank ^ 1
-        if partner < n_ranks:
-            yield from comm.sendrecv(partner, VirtualPayload(op.size),
-                                     size=op.size)
-    elif op.kind == "allreduce":
-        yield from comm.allreduce(VirtualPayload(op.size), size=op.size)
-    elif op.kind == "alltoall":
-        yield from comm.alltoall([VirtualPayload(op.size)] * n_ranks,
-                                 size=op.size)
-    elif op.kind == "allgather":
-        yield from comm.allgather(VirtualPayload(op.size), size=op.size)
-    elif op.kind == "bcast":
-        yield from comm.bcast(VirtualPayload(op.size),
-                              root=op.root, size=op.size)
-    elif op.kind == "reduce":
-        yield from comm.reduce(VirtualPayload(op.size),
-                               root=op.root, size=op.size)
-    elif op.kind == "gather":
-        yield from comm.gather(VirtualPayload(op.size),
-                               root=op.root, size=op.size)
-    else:  # pragma: no cover - CommOp validates its kind
-        raise ConfigurationError(f"unknown comm kind {op.kind!r}")
+def flatten_phases(
+    body: Sequence[Phase | Loop], max_unroll: int | None = None
+) -> tuple[tuple[tuple[Phase, int], ...], bool]:
+    """Rank-independent schedule of ``body``: ``(phase, step)`` occurrences
+    in program order, loops unrolled.
 
+    ``step`` is the index of the innermost enclosing loop (0 outside any
+    loop) — for app programs the time step, which drives the
+    fractional-count subsampling of :func:`_comm_reps`.  ``max_unroll``
+    caps every loop's trips (the static analyzer's bound); the second
+    element of the result tells whether any loop was cut short.
+    """
+    out: list[tuple[Phase, int]] = []
+    truncated = False
 
-def _emit_phase(comm: "Comm", phase: Phase, step: int, n_ranks: int,
-                core: "CoreModel", binary: Binary | None,
-                pctx: "PricingContext | None" = None,
-                model: "PricingModel | None" = None) -> Iterator[Any]:
-    comm.set_phase(phase.name)
-    for op in phase.ops:
-        if isinstance(op, ComputeOp):
-            if pctx is not None and model is not None:
-                # non-roofline pricing: charge the model's wall time as a
-                # fixed-seconds compute event (every rank advances by the
-                # bulk-synchronous op duration); noise/slowdown factors in
-                # Comm.compute still apply on top.
-                price = model.price_compute(op, pctx, phase=phase.name)
-                yield from comm.compute(price.seconds, label=op.label)
-                continue
-            if op.seconds is not None:
-                yield from comm.compute(op.seconds * op.imbalance,
-                                        label=op.label)
-                continue
-            if op.flops:
-                if op.rate_per_core is not None:
-                    rate = op.rate_per_core
-                elif binary is not None and op.kernel is not None:
-                    rate = binary.sustained_flops(core, op.kernel)
-                else:
-                    raise ConfigurationError(
-                        f"compute op in phase {phase.name!r} needs a kernel "
-                        "class or an explicit rate_per_core"
-                    )
+    def walk(items: Sequence[Phase | Loop], step: int) -> None:
+        nonlocal truncated
+        for item in items:
+            if isinstance(item, Loop):
+                trips = item.count
+                if max_unroll is not None and trips > max_unroll:
+                    trips = max_unroll
+                    truncated = True
+                for i in range(trips):
+                    walk(item.body, i)
             else:
-                rate = None
-            yield from comm.compute(
-                flops=op.flops / n_ranks * op.imbalance,
-                bytes_moved=op.bytes_moved / n_ranks * op.imbalance,
-                flops_per_core=rate,
-                label=op.label,
-            )
-        elif isinstance(op, MemOp):
-            if pctx is not None and model is not None:
-                yield from comm.compute(model.price_mem(op, pctx),
-                                        label=op.label)
-                continue
-            yield from comm.compute(
-                flops=0.0,
-                bytes_moved=op.bytes_moved / n_ranks,
-                label=op.label,
-            )
-        elif isinstance(op, SerialOp):
-            if comm.rank == 0:
-                yield from comm.compute(op.seconds, label="serial")
-        elif isinstance(op, CommOp):
-            for _ in range(_comm_reps(op, step)):
-                yield from _emit_comm(comm, op, n_ranks)
-        elif isinstance(op, Barrier):
-            yield from comm.barrier()
-        else:  # pragma: no cover - Phase only holds Op members
-            raise ConfigurationError(f"cannot lower op {op!r}")
+                out.append((item, step))
 
-
-def _emit_items(comm: "Comm", items: Sequence[Phase | Loop], step: int,
-                n_ranks: int, core: "CoreModel", binary: Binary | None,
-                pctx: "PricingContext | None" = None,
-                model: "PricingModel | None" = None) -> Iterator[Any]:
-    for item in items:
-        if isinstance(item, Loop):
-            for i in range(item.count):
-                # the innermost loop index drives fractional-count
-                # subsampling — for app programs it is the step index.
-                yield from _emit_items(comm, item.body, i, n_ranks, core,
-                                       binary, pctx, model)
-        else:
-            yield from _emit_phase(comm, item, step, n_ranks, core, binary,
-                                   pctx, model)
+    walk(body, 0)
+    return tuple(out), truncated
 
 
 def lower(
@@ -279,9 +203,104 @@ def lower(
         )
         emit_model = model
 
+    schedule, _ = flatten_phases(program.body)
+
     def rank_program(comm: "Comm") -> Generator[Any, Any, float]:
-        yield from _emit_items(comm, program.body, 0, n_ranks, core, binary,
-                               pctx, emit_model)
+        rank = comm.rank
+        #: halo neighbours by grid dimensionality, for this rank.
+        halo: dict[int, list[int]] = {}
+        for phase, step in schedule:
+            comm.set_phase(phase.name)
+            for op in phase.ops:
+                if isinstance(op, CommOp):
+                    kind = op.kind
+                    size = op.size
+                    payload = VirtualPayload(size)
+                    for _ in range(_comm_reps(op, step)):
+                        if kind == "halo":
+                            ndims = _halo_ndims(op.neighbors)
+                            nbs = halo.get(ndims)
+                            if nbs is None:
+                                nbs = halo[ndims] = grid_neighbors(
+                                    rank, n_ranks, ndims=ndims)
+                            for nb in nbs:
+                                yield from comm.sendrecv(nb, payload,
+                                                         size=size)
+                        elif kind == "ring":
+                            if n_ranks > 1:
+                                yield from comm.sendrecv(
+                                    (rank + 1) % n_ranks, payload,
+                                    source=(rank - 1) % n_ranks, size=size)
+                        elif kind == "p2p":
+                            if rank ^ 1 < n_ranks:
+                                yield from comm.sendrecv(rank ^ 1, payload,
+                                                         size=size)
+                        elif kind == "allreduce":
+                            yield from comm.allreduce(payload, size=size)
+                        elif kind == "alltoall":
+                            yield from comm.alltoall([payload] * n_ranks,
+                                                     size=size)
+                        elif kind == "allgather":
+                            yield from comm.allgather(payload, size=size)
+                        elif kind == "bcast":
+                            yield from comm.bcast(payload, root=op.root,
+                                                  size=size)
+                        elif kind == "reduce":
+                            yield from comm.reduce(payload, root=op.root,
+                                                   size=size)
+                        elif kind == "gather":
+                            yield from comm.gather(payload, root=op.root,
+                                                   size=size)
+                        else:  # pragma: no cover - CommOp validates its kind
+                            raise ConfigurationError(
+                                f"unknown comm kind {kind!r}")
+                elif isinstance(op, ComputeOp):
+                    if emit_model is not None:
+                        # non-roofline pricing: charge the model's wall
+                        # time as a fixed-seconds compute event (every rank
+                        # advances by the bulk-synchronous op duration);
+                        # noise/slowdown factors in Comm.compute still
+                        # apply on top.
+                        price = emit_model.price_compute(op, pctx,
+                                                         phase=phase.name)
+                        yield from comm.compute(price.seconds, label=op.label)
+                    elif op.seconds is not None:
+                        yield from comm.compute(op.seconds * op.imbalance,
+                                                label=op.label)
+                    else:
+                        if not op.flops:
+                            rate = None
+                        elif op.rate_per_core is not None:
+                            rate = op.rate_per_core
+                        elif binary is not None and op.kernel is not None:
+                            rate = binary.sustained_flops(core, op.kernel)
+                        else:
+                            raise ConfigurationError(
+                                f"compute op in phase {phase.name!r} needs "
+                                "a kernel class or an explicit rate_per_core"
+                            )
+                        yield from comm.compute(
+                            flops=op.flops / n_ranks * op.imbalance,
+                            bytes_moved=op.bytes_moved / n_ranks
+                            * op.imbalance,
+                            flops_per_core=rate,
+                            label=op.label,
+                        )
+                elif isinstance(op, MemOp):
+                    if emit_model is not None:
+                        yield from comm.compute(
+                            emit_model.price_mem(op, pctx), label=op.label)
+                    else:
+                        yield from comm.compute(
+                            flops=0.0, bytes_moved=op.bytes_moved / n_ranks,
+                            label=op.label)
+                elif isinstance(op, SerialOp):
+                    if rank == 0:
+                        yield from comm.compute(op.seconds, label="serial")
+                elif isinstance(op, Barrier):
+                    yield from comm.barrier()
+                else:  # pragma: no cover - Phase only holds Op members
+                    raise ConfigurationError(f"cannot lower op {op!r}")
         return comm.now
 
     return rank_program

@@ -87,6 +87,10 @@ class Comm:
         self._split_seq = 0
         #: per-communicator collective call counter (fast-path matching).
         self._coll_seq = 0
+        state = world.resilience
+        #: no receive timeout to arm: a blocking receive is a bare wait on
+        #: the posted-receive event, with no :meth:`_recv` frame around it.
+        self._plain_recv = state is None or state.policy.recv_timeout is None
 
     # ------------------------------------------------------------------ util
 
@@ -208,10 +212,13 @@ class Comm:
         return payload_size(payload, size)
 
     def _trace(self, start: float, phase_suffix: str) -> None:
-        self.world.trace.record(
+        trace = self.world.trace
+        if trace.mode == "off":
+            return
+        trace.record(
             start,
             self.now - start,
-            actor=f"rank{self.rank}",
+            actor=f"rank{self.world_rank(self.rank)}",
             phase=f"{self._phase}:{phase_suffix}",
         )
 
@@ -229,21 +236,20 @@ class Comm:
         self._check_peer(dest)
         nbytes = max(1, payload_size(payload, size))
         world = self.world
+        src_world = self.world_rank(self.rank)
+        dst_world = self.world_rank(dest)
         if world.recorder is not None:
             world.recorder.record_send(
-                self.world_rank(self.rank),
-                self.world_rank(dest),
-                tag,
-                self._comm_id,
-                nbytes,
-                self._phase,
+                src_world, dst_world, tag, self._comm_id, nbytes, self._phase
             )
-        src_node = world.mapping.node_of(self.world_rank(self.rank))
-        dst_node = world.mapping.node_of(self.world_rank(dest))
+        # RankMapping.node_of without its range checks: both ranks are
+        # members of this communicator (``_check_peer`` validated dest).
+        per_node = world.mapping.ranks_per_node
+        src_node = src_world // per_node
+        dst_node = dst_world // per_node
         t_transfer = world.network.p2p_time(src_node, dst_node, nbytes) if (
             src_node != dst_node
         ) else world.network.link.p2p_time(nbytes, 0)
-        dst_world = self.world_rank(dest)
         tagged = self._tagged(tag)
         rendezvous = nbytes > world.eager_threshold
         if t_transfer == math.inf:
@@ -319,7 +325,8 @@ class Comm:
         """Blocking receive; returns the payload."""
         self._check_peer(source)
         start = self.now
-        data = yield from self._recv(source, tag)
+        data = (yield self._get(source, tag)) if self._plain_recv else (
+            yield from self._recv(source, tag))
         self._trace(start, "recv")
         return data
 
@@ -337,7 +344,8 @@ class Comm:
         self._check_peer(src)
         start = self.now
         send_done = self._isend(dest, payload, tag, size)
-        data = yield from self._recv(src, tag)
+        data = (yield self._get(src, tag)) if self._plain_recv else (
+            yield from self._recv(src, tag))
         yield send_done
         self._trace(start, "sendrecv")
         return data
@@ -361,7 +369,8 @@ class Comm:
             dest = (self.rank + k) % p
             src = (self.rank - k) % p
             send_done = self._isend(dest, None, tag=-1 - k, size=1)
-            yield from self._recv(src, -1 - k)
+            (yield self._get(src, -1 - k)) if self._plain_recv else (
+                yield from self._recv(src, -1 - k))
             yield send_done
             k <<= 1
         self._trace(start, "barrier")
@@ -389,7 +398,8 @@ class Comm:
         while mask < p:
             if relative & mask:
                 src = (relative - mask + root) % p
-                data = yield from self._recv(src, tag)
+                data = (yield self._get(src, tag)) if self._plain_recv else (
+                    yield from self._recv(src, tag))
                 highest = mask
                 break
             mask <<= 1
@@ -438,7 +448,8 @@ class Comm:
                 src_rel = relative + mask
                 if src_rel < p:
                     src = (src_rel + root) % p
-                    partial = yield from self._recv(src, tag)
+                    partial = (yield self._get(src, tag)) if self._plain_recv else (
+                        yield from self._recv(src, tag))
                     result = op.apply(result, partial)
                 mask <<= 1
         self._trace(start, "reduce")
@@ -467,8 +478,10 @@ class Comm:
             mask = 1
             while mask < p:
                 partner = self.rank ^ mask
-                send_done = self._isend(partner, result, tag - mask, size)
-                other = yield from self._recv(partner, tag - mask)
+                ptag = tag - mask
+                send_done = self._isend(partner, result, ptag, size)
+                other = (yield self._get(partner, ptag)) if self._plain_recv else (
+                    yield from self._recv(partner, ptag))
                 yield send_done
                 result = op.apply(result, other)
                 mask <<= 1
@@ -502,7 +515,8 @@ class Comm:
                 src_rel = relative + mask
                 if src_rel < p:
                     src = (src_rel + root) % p
-                    part = yield from self._recv(src, tag)
+                    part = (yield self._get(src, tag)) if self._plain_recv else (
+                        yield from self._recv(src, tag))
                     collected.update(part)
                 mask <<= 1
         self._trace(start, "gather")
@@ -536,7 +550,8 @@ class Comm:
             send_done = self._isend(
                 right, (carry_idx, blocks[carry_idx]), tag, size=nbytes
             )
-            idx, data = yield from self._recv(left, tag)
+            idx, data = (yield self._get(left, tag)) if self._plain_recv else (
+                yield from self._recv(left, tag))
             yield send_done
             blocks[idx] = data
             carry_idx = idx
@@ -571,7 +586,8 @@ class Comm:
             dst = (self.rank + k) % p
             src = (self.rank - k) % p
             send_done = self._isend(dst, payloads[dst], tag - k, size)
-            received[src] = yield from self._recv(src, tag - k)
+            received[src] = (yield self._get(src, tag - k)) if self._plain_recv else (
+                yield from self._recv(src, tag - k))
             yield send_done
         self._trace(start, "alltoall")
         return received
@@ -595,7 +611,8 @@ class Comm:
                     yield self._isend(dst, payloads[dst], tag, size)
             mine = payloads[root]
         else:
-            mine = yield from self._recv(root, tag)
+            mine = (yield self._get(root, tag)) if self._plain_recv else (
+                yield from self._recv(root, tag))
         self._trace(start, "scatter")
         return mine
 
@@ -642,9 +659,11 @@ class Comm:
         seconds *= self.world.compute_slowdown(self.world_rank(self.rank))
         if seconds > 0:
             yield self.world.engine.timeout(seconds)
-        self.world.trace.record(
-            start, seconds, actor=f"rank{self.rank}", phase=f"{self._phase}:{label}"
-        )
+        trace = self.world.trace
+        if trace.mode != "off":
+            trace.record(start, seconds,
+                         actor=f"rank{self.world_rank(self.rank)}",
+                         phase=f"{self._phase}:{label}")
 
     # ------------------------------------------------------------ nonblocking
 
@@ -739,7 +758,8 @@ class Comm:
             recv_idx = (self.rank - k - 1) % p
             send_done = self._isend(right, (send_idx, acc[send_idx]),
                                     tag - k, size)
-            idx, part = yield from self._recv(left, tag - k)
+            idx, part = (yield self._get(left, tag - k)) if self._plain_recv else (
+                yield from self._recv(left, tag - k))
             yield send_done
             assert idx == recv_idx
             acc[recv_idx] = op.apply(acc[recv_idx], part)
@@ -758,7 +778,8 @@ class Comm:
         tag = -9000
         prefix = None
         if self.rank > 0:
-            prefix = yield from self._recv(self.rank - 1, tag)
+            prefix = (yield self._get(self.rank - 1, tag)) if self._plain_recv else (
+                yield from self._recv(self.rank - 1, tag))
         inclusive = payload if prefix is None else op.apply(prefix, payload)
         if self.rank + 1 < self.size:
             yield self._isend(self.rank + 1, inclusive, tag, size)

@@ -13,7 +13,7 @@ from repro.des.trace import TraceRecorder
 from repro.network.model import NetworkModel, network_for
 from repro.simmpi.comm import Comm
 from repro.simmpi.mapping import RankMapping
-from repro.util.errors import ConfigurationError, DeadlockError
+from repro.util.errors import ConfigurationError, DeadlockError, SimulationError
 from repro.util.units import KIB
 
 if TYPE_CHECKING:
@@ -24,6 +24,25 @@ if TYPE_CHECKING:
     from repro.verify.recorder import CommRecorder
 
 RankProgram = Callable[..., Generator[Any, Any, Any]]
+
+_INF = float("inf")
+
+
+class _Delivery:
+    """Calendar entry that lands one message in a rank's mailbox: what a
+    Timeout with a put callback did, without the event and the closure."""
+
+    __slots__ = ("channel", "src", "key", "payload")
+
+    def __init__(self, channel: Channel, src: int, key: tuple,
+                 payload: Any) -> None:
+        self.channel = channel
+        self.src = src
+        self.key = key
+        self.payload = payload
+
+    def _resolve(self) -> None:
+        self.channel.put(self.src, self.key, self.payload)
 
 
 @dataclass
@@ -288,10 +307,12 @@ class World:
         sending communicator* (channel matching is by communicator-local
         source).
         """
-        delivery = self.engine.timeout(t_transfer)
-        delivery.add_callback(
-            lambda _ev: self.channel(dst_rank).put(src_comm_rank, key, payload)
-        )
+        if not 0.0 <= t_transfer < _INF:
+            raise SimulationError(
+                f"delivery delay must be finite and >= 0, got {t_transfer}"
+            )
+        self.engine._schedule(self.engine.now + t_transfer, _Delivery(
+            self.channel(dst_rank), src_comm_rank, key, payload))
 
     def run(
         self,

@@ -52,6 +52,23 @@ class RankFailureError(SimulationError):
         self.kind = kind
 
 
+class WorkerLostError(ReproError):
+    """A persistent pool worker process died in the middle of a call.
+
+    Raised by :class:`repro.harness.procpool.PersistentPool` instead of
+    the bare pipe error (``EOFError``/``BrokenPipeError``); the pool is
+    already closed when it propagates.  ``worker`` is the worker's index
+    in the pool and ``exitcode`` its process exit code (negative: killed
+    by that signal; None: the process could not be reaped).
+    """
+
+    def __init__(self, message: str, *, worker: int | None = None,
+                 exitcode: int | None = None):
+        super().__init__(message)
+        self.worker = worker
+        self.exitcode = exitcode
+
+
 class ToolchainError(ReproError):
     """Base class for compiler/toolchain failures (paper Section V)."""
 

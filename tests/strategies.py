@@ -140,7 +140,8 @@ _IR_EXACT_COMM = ("allreduce", "allgather", "alltoall", "halo", "ring",
 
 @st.composite
 def ir_programs(draw, *, max_phases: int = 3, max_ops: int = 3,
-                max_steps: int = 3, rich: bool = False):
+                max_steps: int = 3, rich: bool = False,
+                comm_kinds: tuple[str, ...] = _IR_EXACT_COMM):
     """Draw a random bulk-synchronous :class:`repro.ir.Program`.
 
     Structure: ``steps`` repetitions of 1..``max_phases`` phases, each
@@ -154,6 +155,9 @@ def ir_programs(draw, *, max_phases: int = 3, max_ops: int = 3,
     nested loops, including zero- and one-trip loops.  Rich programs are
     meant for optimizer/batch properties, not DES differentials (the DES
     subsamples fractional-count CommOps by step index).
+
+    ``comm_kinds`` widens (or narrows) the CommOp kinds; the rooted
+    ``bcast``/``reduce`` then draw root 0 or 1.
     """
     from repro.ir import (
         Barrier,
@@ -189,12 +193,15 @@ def ir_programs(draw, *, max_phases: int = 3, max_ops: int = 3,
                 rate_per_core=draw(st.sampled_from((1e9, 4e9))),
                 imbalance=draw(st.sampled_from([1.0, 1.5])),
             )
+        comm = draw(st.sampled_from(comm_kinds))
         return CommOp(
-            draw(st.sampled_from(_IR_EXACT_COMM)),
+            comm,
             draw(st.sampled_from(_SIZES)),
             count=draw(st.sampled_from([1.0, 2.0, 0.5] if rich
                                        else [1.0, 2.0])),
             neighbors=draw(st.sampled_from([2, 4, 6])),
+            root=draw(st.integers(0, 1)) if comm in ("bcast", "reduce")
+            else 0,
         )
 
     n_phases = draw(st.integers(1, max_phases))

@@ -4,6 +4,9 @@ run bit-exactly for any shard count and worker schedule."""
 
 from __future__ import annotations
 
+import os
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +20,7 @@ from repro.des.shard import (
     lookahead,
     run_sharded,
 )
-from repro.des.shard.driver import _actor_key
+from repro.des.shard.driver import _actor_key, _ShardHost
 from repro.ir import DESBackend, FastCollBackend, set_backend_options
 from repro.ir.lower import lower
 from repro.machine import cte_arm
@@ -31,7 +34,7 @@ from repro.resilience.schedule import (
 )
 from repro.simmpi.mapping import RankMapping
 from repro.simmpi.world import World
-from repro.util.errors import ConfigurationError, SimulationError
+from repro.util.errors import ConfigurationError, SimulationError, WorkerLostError
 
 N_NODES = 4
 RANKS_PER_NODE = 8  # small world: fast tests, still multi-node
@@ -147,12 +150,53 @@ class TestLookahead:
                     continue
                 assert network.p2p_time(a, b, size) >= la
 
-    def test_channel_inventory_refines_the_bound(self, program, mapping):
+    def test_channel_inventory_refines_the_bound(
+        self, program, mapping, monkeypatch
+    ):
+        import repro.ir.analyze.trace as trace_mod
+
+        def no_unroll(*args, **kwargs):
+            raise AssertionError("unroll called for a collective program")
+
+        # The answer comes from the rank-independent schedule alone.
+        monkeypatch.setattr(trace_mod, "unroll", no_unroll)
         plan = ShardPlan.build(mapping, 2)
         pairs = cross_shard_rank_pairs(program, plan)
         # NEMO's lowering carries world collectives: the inventory must
         # refuse to claim completeness rather than under-approximate.
         assert pairs is None
+
+    def test_collective_free_program_gets_exact_pairs(self, mapping):
+        from repro.ir import CommOp, Loop, Phase, Program, grid_neighbors
+
+        p = mapping.n_ranks
+        program = Program(name="p2p-only", body=(Loop(2, (Phase("x", (
+            CommOp("halo", 64, neighbors=4),
+            CommOp("ring", 64),
+            CommOp("p2p", 64),
+        )),)),), steps=2)
+        plan = ShardPlan.build(mapping, 2)
+        # Brute force from the lowering rules: rank r sends to, and
+        # receives from, its 2-D grid neighbours, sends right and receives
+        # from the left on the ring, and pairs with r ^ 1.
+        expected = set()
+        for r in range(p):
+            links = [(r, nb) for nb in grid_neighbors(r, p, ndims=2)]
+            links += [(nb, r) for nb in grid_neighbors(r, p, ndims=2)]
+            links += [(r, (r + 1) % p), ((r - 1) % p, r), (r, r ^ 1),
+                      (r ^ 1, r)]
+            expected |= {(a, b) for a, b in links
+                         if plan.shard_of_rank(a) != plan.shard_of_rank(b)}
+        assert expected
+        assert cross_shard_rank_pairs(program, plan) == expected
+
+    def test_truncated_schedule_gives_no_inventory(self, mapping):
+        from repro.ir import CommOp, Loop, Phase, Program
+
+        program = Program(name="long", body=(Loop(5, (Phase("x", (
+            CommOp("ring", 64),)),)),), steps=5)
+        assert cross_shard_rank_pairs(program, ShardPlan.build(mapping, 2)) \
+            is None
 
     def test_empty_inventory_gives_finite_window(self, mapping):
         plan = ShardPlan.build(mapping, 2)
@@ -314,6 +358,40 @@ class TestGuards:
         (msg,) = world.drain_outbox()
         assert msg.dst_rank == remote
         assert msg.time == pytest.approx(5e-6)
+
+
+class _DyingHost(_ShardHost):
+    """Shard host whose worker process exits on its third window step."""
+
+    steps = 0
+
+    def _step(self, t_end, inject):
+        self.steps += 1
+        if self.steps == 3:
+            os._exit(1)
+        return super()._step(t_end, inject)
+
+
+def _make_dying_host(init):
+    return _DyingHost(*init)
+
+
+class TestWorkerDeath:
+    def test_dead_worker_mid_window_raises_typed_error(
+        self, program, mapping, binary, monkeypatch
+    ):
+        from repro.des.shard import driver
+
+        monkeypatch.setattr(driver, "_make_host", _make_dying_host)
+        spec = ShardedSpec(program=program, mapping=mapping, n_shards=2,
+                           binary=binary)
+        t0 = time.monotonic()
+        with pytest.raises(WorkerLostError) as info:
+            run_sharded(spec, workers=2)
+        assert time.monotonic() - t0 < 10.0
+        assert info.value.worker in (0, 1)
+        assert info.value.exitcode == 1
+        assert f"worker {info.value.worker}" in str(info.value)
 
 
 class TestBackendWiring:

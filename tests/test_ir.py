@@ -8,7 +8,11 @@ analytic backend reproducing ``AppModel.time_step`` bit-for-bit.
 
 from __future__ import annotations
 
+from typing import Any, Iterator
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ir import (
     AnalyticBackend,
@@ -32,10 +36,16 @@ from repro.ir import (
     to_dict,
     to_json,
 )
-from repro.ir.lower import _comm_reps
+from repro.ir.lower import _comm_reps, _halo_ndims, flatten_phases, lower
+from repro.ir.ops import COMM_KINDS
 from repro.machine import cte_arm
+from repro.machine.models import PricingContext, RooflineModel, resolve_pricing
 from repro.simmpi.mapping import RankMapping
+from repro.simmpi.payload import VirtualPayload
+from repro.simmpi.world import World
 from repro.util.errors import ConfigurationError, OutOfMemoryError
+
+from .strategies import ir_programs
 
 _CLUSTER = cte_arm(16)
 
@@ -271,3 +281,200 @@ class TestHarnessCacheKey:
 
         assert cache_key("fig2", "analytic") != cache_key("fig2", "des")
         assert cache_key("fig2") == cache_key("fig2", "analytic")
+
+
+# -- the recursive emitter the flat schedule replaced: differential oracle ---
+
+
+def _emit_comm(comm, op, n_ranks) -> Iterator[Any]:
+    if op.kind == "halo":
+        ndims = _halo_ndims(op.neighbors)
+        for nb in grid_neighbors(comm.rank, n_ranks, ndims=ndims):
+            yield from comm.sendrecv(nb, VirtualPayload(op.size), size=op.size)
+    elif op.kind == "ring":
+        if n_ranks > 1:
+            right = (comm.rank + 1) % n_ranks
+            left = (comm.rank - 1) % n_ranks
+            yield from comm.sendrecv(right, VirtualPayload(op.size),
+                                     source=left, size=op.size)
+    elif op.kind == "p2p":
+        partner = comm.rank ^ 1
+        if partner < n_ranks:
+            yield from comm.sendrecv(partner, VirtualPayload(op.size),
+                                     size=op.size)
+    elif op.kind == "allreduce":
+        yield from comm.allreduce(VirtualPayload(op.size), size=op.size)
+    elif op.kind == "alltoall":
+        yield from comm.alltoall([VirtualPayload(op.size)] * n_ranks,
+                                 size=op.size)
+    elif op.kind == "allgather":
+        yield from comm.allgather(VirtualPayload(op.size), size=op.size)
+    elif op.kind == "bcast":
+        yield from comm.bcast(VirtualPayload(op.size),
+                              root=op.root, size=op.size)
+    elif op.kind == "reduce":
+        yield from comm.reduce(VirtualPayload(op.size),
+                               root=op.root, size=op.size)
+    elif op.kind == "gather":
+        yield from comm.gather(VirtualPayload(op.size),
+                               root=op.root, size=op.size)
+    else:
+        raise ConfigurationError(f"unknown comm kind {op.kind!r}")
+
+
+def _emit_phase(comm, phase, step, n_ranks, core, binary, pctx=None,
+                model=None) -> Iterator[Any]:
+    comm.set_phase(phase.name)
+    for op in phase.ops:
+        if isinstance(op, ComputeOp):
+            if pctx is not None and model is not None:
+                price = model.price_compute(op, pctx, phase=phase.name)
+                yield from comm.compute(price.seconds, label=op.label)
+                continue
+            if op.seconds is not None:
+                yield from comm.compute(op.seconds * op.imbalance,
+                                        label=op.label)
+                continue
+            if op.flops:
+                if op.rate_per_core is not None:
+                    rate = op.rate_per_core
+                elif binary is not None and op.kernel is not None:
+                    rate = binary.sustained_flops(core, op.kernel)
+                else:
+                    raise ConfigurationError(
+                        f"compute op in phase {phase.name!r} needs a kernel "
+                        "class or an explicit rate_per_core"
+                    )
+            else:
+                rate = None
+            yield from comm.compute(
+                flops=op.flops / n_ranks * op.imbalance,
+                bytes_moved=op.bytes_moved / n_ranks * op.imbalance,
+                flops_per_core=rate,
+                label=op.label,
+            )
+        elif isinstance(op, MemOp):
+            if pctx is not None and model is not None:
+                yield from comm.compute(model.price_mem(op, pctx),
+                                        label=op.label)
+                continue
+            yield from comm.compute(
+                flops=0.0,
+                bytes_moved=op.bytes_moved / n_ranks,
+                label=op.label,
+            )
+        elif isinstance(op, SerialOp):
+            if comm.rank == 0:
+                yield from comm.compute(op.seconds, label="serial")
+        elif isinstance(op, CommOp):
+            for _ in range(_comm_reps(op, step)):
+                yield from _emit_comm(comm, op, n_ranks)
+        elif isinstance(op, Barrier):
+            yield from comm.barrier()
+        else:
+            raise ConfigurationError(f"cannot lower op {op!r}")
+
+
+def _emit_items(comm, items, step, n_ranks, core, binary, pctx=None,
+                model=None) -> Iterator[Any]:
+    for item in items:
+        if isinstance(item, Loop):
+            for i in range(item.count):
+                yield from _emit_items(comm, item.body, i, n_ranks, core,
+                                       binary, pctx, model)
+        else:
+            yield from _emit_phase(comm, item, step, n_ranks, core, binary,
+                                   pctx, model)
+
+
+def _lower_oracle(program, mapping, binary=None, *, pricing=None):
+    """The lowering as it was before the flat schedule: one generator
+    frame per loop level, phase and comm op, walked per rank."""
+    core = mapping.cluster.node.core_model
+    n_ranks = mapping.n_ranks
+    model = resolve_pricing(pricing)
+    pctx = emit_model = None
+    if not isinstance(model, RooflineModel):
+        pctx = PricingContext(
+            mapping=mapping, cluster=mapping.cluster, core=core,
+            binary=binary, n_ranks=n_ranks,
+            agg_bw=n_ranks * mapping.rank_memory_bandwidth(0),
+        )
+        emit_model = model
+
+    def rank_program(comm):
+        yield from _emit_items(comm, program.body, 0, n_ranks, core, binary,
+                               pctx, emit_model)
+        return comm.now
+
+    return rank_program
+
+
+def _run_lowered(rank_program, mapping):
+    world = World(mapping, trace="full")
+    result = world.run(rank_program)
+    return (result.elapsed, world.engine.events_processed,
+            result.rank_results, list(result.trace.records))
+
+
+class TestFlatLowering:
+    """``lower``'s flat schedule replays the recursive emitter exactly."""
+
+    @given(
+        program=ir_programs(rich=True, comm_kinds=tuple(sorted(COMM_KINDS))),
+        n_nodes=st.sampled_from([1, 2]),
+        ranks_per_node=st.sampled_from([1, 2, 3, 4]),
+        pricing=st.sampled_from(["roofline", "ecm"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_calendar_and_trace_as_recursive_oracle(
+        self, program, n_nodes, ranks_per_node, pricing
+    ):
+        mapping = RankMapping(cte_arm(2), n_nodes=n_nodes,
+                              ranks_per_node=ranks_per_node)
+        new = _run_lowered(lower(program, mapping, pricing=pricing), mapping)
+        old = _run_lowered(_lower_oracle(program, mapping, pricing=pricing),
+                           mapping)
+        assert new == old
+
+    @pytest.mark.parametrize("pricing", ["roofline", "ecm"])
+    def test_every_comm_kind_matches_oracle(self, pricing):
+        """One program holding every comm kind, all three halo grid
+        dimensionalities, non-zero roots and a fractional count."""
+        comm_ops = tuple(
+            CommOp(kind, 4096, root=1 if kind in ("bcast", "reduce") else 0)
+            for kind in sorted(COMM_KINDS - {"halo"})
+        ) + tuple(CommOp("halo", 65536, neighbors=n) for n in (2, 4, 6))
+        program = Program(name="all-kinds", body=(Loop(3, (
+            Phase("comm", comm_ops + (CommOp("gather", 64, count=0.5),)),
+            Phase("work", (ComputeOp(flops=1e9, bytes_moved=1e6,
+                                     rate_per_core=2e9, imbalance=1.5),
+                           MemOp(1 << 20), SerialOp(1e-5), Barrier())),
+        )),), steps=3)
+        mapping = RankMapping(cte_arm(2), n_nodes=2, ranks_per_node=4)
+        new = _run_lowered(lower(program, mapping, pricing=pricing), mapping)
+        old = _run_lowered(_lower_oracle(program, mapping, pricing=pricing),
+                           mapping)
+        assert new == old
+
+    def test_app_program_matches_oracle(self):
+        from repro.apps import get_app
+
+        app = get_app("nemo")
+        mapping = RankMapping(_CLUSTER, n_nodes=2, ranks_per_node=12)
+        program = app.program(mapping, steps=2)
+        binary = app.build(_CLUSTER)
+        assert (_run_lowered(lower(program, mapping, binary), mapping)
+                == _run_lowered(_lower_oracle(program, mapping, binary),
+                                mapping))
+
+    def test_schedule_unrolls_loops_with_innermost_step(self):
+        a, b, c = Phase("a"), Phase("b"), Phase("c")
+        body = (a, Loop(2, (b, Loop(3, (c,)))), Loop(0, (a,)))
+        schedule, truncated = flatten_phases(body)
+        assert not truncated
+        assert schedule == ((a, 0), (b, 0), (c, 0), (c, 1), (c, 2),
+                            (b, 1), (c, 0), (c, 1), (c, 2))
+        capped, truncated = flatten_phases(body, max_unroll=1)
+        assert truncated
+        assert capped == ((a, 0), (b, 0), (c, 0))

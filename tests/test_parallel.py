@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -153,6 +154,8 @@ class _Echo:
     def handle(self, msg):
         if msg == "boom":
             raise ValueError("exploding handler")
+        if msg == "die":
+            os._exit(3)
         return (self.tag, msg)
 
 
@@ -177,6 +180,25 @@ class TestPersistentPool:
         pool = PersistentPool(_make_echo, ["a", "b"])
         with pytest.raises(ValueError, match="exploding"):
             pool.call_all(["boom", 1])
+
+    def test_dead_worker_raises_worker_lost(self):
+        from repro.harness.procpool import PersistentPool
+        from repro.util.errors import WorkerLostError
+
+        pool = PersistentPool(_make_echo, ["a", "b"])
+        with pytest.raises(WorkerLostError) as info:
+            pool.call_all([1, "die"])
+        assert (info.value.worker, info.value.exitcode) == (1, 3)
+        assert not any(proc.is_alive() for proc in pool._procs)
+
+    def test_dead_worker_stops_imap(self):
+        from repro.harness.procpool import PersistentPool
+        from repro.util.errors import WorkerLostError
+
+        pool = PersistentPool(_make_echo, ["a", "b"])
+        with pytest.raises(WorkerLostError, match="exit code 3"):
+            list(pool.imap([1, 2, "die", 4, 5]))
+        assert not any(proc.is_alive() for proc in pool._procs)
 
     def test_message_count_must_match_workers(self):
         from repro.harness.procpool import PersistentPool

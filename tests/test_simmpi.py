@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.simmpi import RankMapping, ReduceOp, VirtualPayload, World, payload_size
-from repro.util.errors import ConfigurationError, DeadlockError
+from repro.util.errors import ConfigurationError, DeadlockError, SimulationError
 
 
 class TestPayload:
@@ -131,6 +131,13 @@ class TestPointToPoint:
         w_intra = World(RankMapping(arm_small, n_nodes=1, ranks_per_node=2))
         w_inter = World(RankMapping(arm_small, n_nodes=2, ranks_per_node=1))
         assert w_intra.run(program).elapsed < w_inter.run(program).elapsed
+
+    @pytest.mark.parametrize("delay", [-1e-6, float("nan"), float("inf")])
+    def test_delivery_delay_must_be_finite_and_non_negative(
+        self, small_world, delay
+    ):
+        with pytest.raises(SimulationError, match="delay must be finite"):
+            small_world.schedule_delivery(1, 0, (0, 0), None, delay)
 
 
 class TestCollectives:
@@ -277,6 +284,25 @@ class TestComputeAndTrace:
         assert res.phase_time("assembly") == pytest.approx(0.5)
         assert res.phase_time("solver") == pytest.approx(0.25)
         assert res.phase_time("solver", reduction="sum") == pytest.approx(2.0)
+
+    def test_subcommunicator_ops_trace_world_rank_actors(self, arm_small):
+        """Ops on a split communicator are traced under the *world* rank:
+        with communicator-local labels the two rank-0s (and rank-1s) of a
+        ``rank % 2`` split used to merge into one actor."""
+        world = World(RankMapping(arm_small, n_nodes=1, ranks_per_node=4))
+
+        def program(comm):
+            sub = yield from comm.split(comm.rank % 2)
+            sub.set_phase("work")
+            yield from sub.compute((comm.rank + 1) * 1e-3)
+            sub.set_phase("xchg")
+            yield from sub.sendrecv(1 - sub.rank, size=8)
+
+        trace = world.run(program).trace
+        assert trace.per_actor("work") == pytest.approx(
+            {"rank0": 0.001, "rank1": 0.002, "rank2": 0.003, "rank3": 0.004})
+        assert sorted(trace.per_actor("xchg")) == [
+            "rank0", "rank1", "rank2", "rank3"]
 
     def test_world_rejects_undersized_network(self, arm_small):
         from repro.network.model import network_for
