@@ -202,9 +202,6 @@ def main(argv: list[str] | None = None) -> int:
                          "(default 50)")
     serve_p.add_argument("--quota-burst", type=float, default=20.0,
                          help="per-client burst capacity (default 20)")
-    serve_p.add_argument("--window-ms", type=float, default=2.0,
-                         help="admission coalescing window in ms "
-                         "(default 2)")
     serve_p.add_argument("--max-batch", type=int, default=64,
                          help="max queries stacked into one tape pass "
                          "(default 64)")
@@ -343,7 +340,6 @@ def main(argv: list[str] | None = None) -> int:
             config = ServiceConfig(
                 quota_rate=args.quota_rate,
                 quota_burst=args.quota_burst,
-                window_s=args.window_ms / 1e3,
                 max_batch=args.max_batch,
                 tape_budget_bytes=budget,
             )

@@ -57,16 +57,6 @@ __all__ = [
     "TokenBucket",
 ]
 
-def _registered_clusters() -> tuple[str, ...]:
-    from repro.machine.presets import MACHINES
-
-    return tuple(MACHINES.names())
-
-
-#: cluster presets the service accepts (registry-derived; CLI-friendly
-#: aliases from the registry work too).
-CLUSTERS = _registered_clusters()
-
 
 class ServiceError(Exception):
     """A request-level failure carrying its HTTP-style status code."""
@@ -234,31 +224,31 @@ class AdmissionBatcher:
     """Coalesce concurrent queries into stacked ``run_batch`` passes.
 
     Submitting threads enqueue a :class:`BatchJob` and block; a single
-    daemon worker drains the queue — waiting ``window_s`` after the
-    first arrival so concurrent queries coalesce — and prices up to
-    ``max_batch`` jobs in one vectorized tape pass.  One worker thread
-    means the batch layer's process-local caches are only ever touched
-    from one thread.
+    daemon worker wakes on the first arrival and prices everything
+    already queued (up to ``max_batch`` jobs) at once in one vectorized
+    tape pass; queries arriving during a pass form the next batch.  One
+    worker thread means the batch layer's process-local caches are only
+    ever touched from one thread.
 
-    Per-job faults are isolated: if a stacked pass raises, the batch is
-    re-run job-by-job so only the offending query observes the error.
+    Per-job faults are isolated: if a stacked pass raises or returns the
+    wrong number of results, the batch is re-run job-by-job so only the
+    offending query observes the error.  If the worker dies, stranded
+    callers get a 503 at once and :attr:`fault` holds it until a later
+    pass succeeds; the next submit restarts the worker.
     """
 
     def __init__(self, backend: BatchAnalyticBackend | None = None, *,
-                 max_batch: int = 64, window_s: float = 0.002) -> None:
+                 max_batch: int = 64) -> None:
         if max_batch < 1:
             raise ConfigurationError("max_batch must be >= 1")
-        if window_s < 0:
-            raise ConfigurationError("window_s must be >= 0")
         self.backend = backend if backend is not None \
             else BatchAnalyticBackend()
         self.max_batch = max_batch
-        self.window_s = window_s
         self._queue: list[_Pending] = []
-        self._lock = threading.Lock()
-        self._wake = threading.Condition(self._lock)
+        self._wake = threading.Condition()
         self._closed = False
         self._worker: threading.Thread | None = None
+        self.fault: ServiceError | None = None  # the worker's last death
         # -- observability ---------------------------------------------------
         self.queries = 0
         self.batches = 0
@@ -298,19 +288,28 @@ class AdmissionBatcher:
     # -- worker --------------------------------------------------------------
 
     def _run(self) -> None:
-        while True:
-            with self._wake:
-                while not self._queue and not self._closed:
-                    self._wake.wait()
-                if not self._queue and self._closed:
-                    return
-            if self.window_s > 0:
-                time.sleep(self.window_s)  # let concurrent queries coalesce
-            with self._wake:
-                batch = self._queue[: self.max_batch]
-                del self._queue[: self.max_batch]
-            if batch:
+        batch: list[_Pending] = []
+        try:
+            while True:
+                with self._wake:
+                    while not self._queue and not self._closed:
+                        self._wake.wait()
+                    if not self._queue:
+                        return
+                    batch = self._queue[: self.max_batch]
+                    del self._queue[: self.max_batch]
                 self._price(batch)
+                self.fault = None
+        except BaseException as exc:  # re-raised once no caller can hang
+            error = ServiceError(503, f"pricing worker failed: {exc!r}")
+            with self._wake:  # the next submit starts a fresh worker
+                stranded, self._queue = batch + self._queue, []
+                self._worker, self.fault = None, error
+            for pending in stranded:
+                if not pending.done.is_set():
+                    pending.error = error
+                    pending.done.set()
+            raise
 
     def _price(self, batch: list[_Pending]) -> None:
         self.queries += len(batch)
@@ -320,12 +319,11 @@ class AdmissionBatcher:
             self.batched_queries += len(batch)
         try:
             results = self.backend.run_batch([p.job for p in batch])
+            if len(results) != len(batch):
+                raise RuntimeError(f"{len(results)} results, {len(batch)} jobs")
         except Exception:
-            if len(batch) == 1:
-                self._price_one(batch[0])
-            else:
-                for pending in batch:  # isolate the faulty job
-                    self._price_one(pending)
+            for pending in batch:  # isolate the faulty job
+                self._price_one(pending)
         else:
             for pending, result in zip(batch, results):
                 pending.result = result
@@ -333,7 +331,7 @@ class AdmissionBatcher:
 
     def _price_one(self, pending: _Pending) -> None:
         try:
-            pending.result = self.backend.run_batch([pending.job])[0]
+            (pending.result,) = self.backend.run_batch([pending.job])
         except Exception as exc:  # delivered to the submitting thread
             pending.error = exc
         pending.done.set()
@@ -345,7 +343,6 @@ class ServiceConfig:
 
     quota_rate: float = 50.0       # tokens/second per client
     quota_burst: float = 20.0      # bucket capacity per client
-    window_s: float = 0.002        # admission coalescing window
     max_batch: int = 64            # stacked jobs per tape pass
     tape_budget_bytes: int | None = None  # warm-tape memory budget
     queue_timeout_s: float = 60.0  # per-query wait bound
@@ -353,8 +350,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.quota_rate <= 0 or self.quota_burst <= 0:
             raise ConfigurationError("quota rate and burst must be positive")
-        if self.window_s < 0:
-            raise ConfigurationError("window_s must be >= 0")
         if self.max_batch < 1:
             raise ConfigurationError("max_batch must be >= 1")
         if self.tape_budget_bytes is not None and self.tape_budget_bytes < 1:
@@ -379,9 +374,8 @@ class CapacityService:
         self.config = config if config is not None else ServiceConfig()
         if self.config.tape_budget_bytes is not None:
             set_tape_budget(self.config.tape_budget_bytes)
-        self.batcher = AdmissionBatcher(
-            backend, max_batch=self.config.max_batch,
-            window_s=self.config.window_s)
+        self.batcher = AdmissionBatcher(backend,
+                                        max_batch=self.config.max_batch)
         self.quotas = QuotaRegistry(self.config.quota_rate,
                                     self.config.quota_burst)
         self._clusters: dict[str, ClusterModel] = {}
@@ -470,10 +464,7 @@ class CapacityService:
         except ServiceError:
             self.failed += 1
             raise
-        except ToolchainError as exc:
-            self.failed += 1
-            raise ServiceError(422, str(exc)) from exc
-        except (ConfigurationError, OutOfMemoryError) as exc:
+        except (ToolchainError, ConfigurationError, OutOfMemoryError) as exc:
             self.failed += 1
             raise ServiceError(422, str(exc)) from exc
         except KeyError as exc:
@@ -483,6 +474,9 @@ class CapacityService:
             self.failed += 1
             raise ServiceError(422, str(exc.args[0]) if exc.args
                                else str(exc)) from exc
+        except Exception as exc:  # a backend bug: typed, not a dropped reply
+            self.failed += 1
+            raise ServiceError(500, f"pricing failed: {exc!r}") from exc
         return encode_result(query, result)
 
     def handle(self, payload: Mapping[str, Any], *,
@@ -493,6 +487,11 @@ class CapacityService:
             return 200, self.price(query, now=now)
         except ServiceError as exc:
             return exc.status, exc.body()
+
+    def health(self) -> tuple[int, dict[str, Any]]:
+        """The /v1/health reply: 503 while the batcher is faulted."""
+        fault = self.batcher.fault
+        return (200, {"status": "ok"}) if fault is None else (503, fault.body())
 
     def stats(self) -> dict[str, Any]:
         """Service counters + cache residency (the /v1/stats body)."""

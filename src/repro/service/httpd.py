@@ -4,7 +4,7 @@ A thin transport over :class:`repro.service.CapacityService`:
 
 * ``POST /v1/price`` — JSON :class:`~repro.service.Query` body in, the
   canonical priced response out (``429`` carries ``Retry-After``);
-* ``GET /v1/health`` — liveness;
+* ``GET /v1/health`` — liveness (503 while the batcher is faulted);
 * ``GET /v1/stats`` — batching/quota/cache counters.
 
 ``ThreadingHTTPServer`` gives one thread per in-flight request, which is
@@ -33,6 +33,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "_Server"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # body must not wait on a delayed ACK
 
     def log_message(self, format: str, *args: Any) -> None:
         if self.server.verbose:  # quiet by default (tests, loadtests)
@@ -51,7 +52,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         if self.path == "/v1/health":
-            self._reply(200, {"status": "ok"})
+            self._reply(*self.server.service.health())
         elif self.path == "/v1/stats":
             self._reply(200, self.server.service.stats())
         else:

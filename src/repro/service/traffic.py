@@ -315,10 +315,11 @@ def _build_report(samples: list[_Sample], duration_s: float,
 
 def virtual_report(config: TrafficConfig, *,
                    per_item_s: float = 5e-4, batch_overhead_s: float = 1e-3,
-                   max_batch: int = 64, window_s: float = 2e-3,
+                   max_batch: int = 64,
                    rate_scale: float = 1.0) -> Report:
     """Deterministic replay of the schedule through a simulated batch
-    server (FIFO, coalescing window, linear batch cost).  A pure
+    server (FIFO, linear batch cost; like the service's batcher, a pass
+    starts once the server is free and takes every queued arrival).  A pure
     function of ``(config, parameters)`` — same seed, byte-identical
     report — used for capacity planning and the property suite; wall
     measurements come from :func:`run_loadtest`.
@@ -330,10 +331,8 @@ def virtual_report(config: TrafficConfig, *,
     makespan = config.duration_s
     while i < len(schedule):
         first = schedule[i]
-        start = max(next_free, first.t + window_s)
+        start = max(next_free, first.t)
         batch = [a for a in schedule[i:i + max_batch] if a.t <= start]
-        if not batch:
-            batch = [first]
         finish = start + batch_overhead_s + per_item_s * len(batch)
         for arrival in batch:
             samples.append(_Sample(arrival, 200, finish - arrival.t))

@@ -16,7 +16,10 @@ The load-bearing guarantees (ISSUE 8):
 from __future__ import annotations
 
 import json
+import statistics
+import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -46,8 +49,8 @@ from repro.util.errors import ConfigurationError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-#: fast service knobs for tests: generous quota, wide coalescing window.
-_FAST = ServiceConfig(quota_rate=1e6, quota_burst=1e6, window_s=0.02)
+#: fast service knobs for tests: a quota no test run can exhaust.
+_FAST = ServiceConfig(quota_rate=1e6, quota_burst=1e6)
 
 
 def _mixed_queries() -> list[Query]:
@@ -234,7 +237,7 @@ class TestAdmissionBatcher:
         program = Program(
             name="svc-race", steps=1,
             body=(Phase("p", (ComputeOp(seconds=1e-6),)),))
-        batcher = AdmissionBatcher(window_s=0.005)
+        batcher = AdmissionBatcher()
         try:
             n_threads, per_thread = 12, 8
             seen = []
@@ -260,7 +263,7 @@ class TestAdmissionBatcher:
             body=(Phase("p", (ComputeOp(seconds=1e-6),)),))
         good = BatchJob(program, cluster, 2)
         bad = BatchJob(program, cluster, 2, overrides={"bogus": 2.0})
-        batcher = AdmissionBatcher(window_s=0.05)
+        batcher = AdmissionBatcher()
         try:
             def worker(i: int):
                 if i == 0:
@@ -288,13 +291,10 @@ class TestAdmissionBatcher:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             AdmissionBatcher(max_batch=0)
-        with pytest.raises(ConfigurationError):
-            AdmissionBatcher(window_s=-1.0)
 
     @pytest.mark.parametrize("kwargs", [
         {"quota_rate": 0.0},
         {"quota_burst": -1.0},
-        {"window_s": -0.001},
         {"max_batch": 0},
         {"tape_budget_bytes": -1},
         {"queue_timeout_s": 0.0},
@@ -302,6 +302,192 @@ class TestAdmissionBatcher:
     def test_service_config_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
             ServiceConfig(**kwargs)
+
+    def test_coalescing_window_knob_is_gone(self):
+        """Batches form from whatever is already queued; a window setting
+        must not come back silently."""
+        with pytest.raises(TypeError):
+            ServiceConfig(window_s=0.002)
+        with pytest.raises(TypeError):
+            AdmissionBatcher(window_s=0.002)
+
+
+# -- natural batching and worker faults (stub backends) -----------------------
+
+
+class _Died(BaseException):
+    """Escapes ``except Exception``, so it kills the batcher's worker."""
+
+
+def _die(killed: list) -> None:
+    """Kill the calling batcher worker and record its thread, so a test
+    can join it while its expected traceback is still in scope."""
+    killed.append(threading.current_thread())
+    raise _Died("backend died")
+
+
+class _GatedBackend:
+    """Stub backend: its first pass blocks until :attr:`release` is set
+    (then raises :class:`_Died` when ``die``); every pass records its
+    size and answers job ``j`` with ``("priced", j)`` — minus the last
+    answer of a stacked pass when ``drop_last``."""
+
+    def __init__(self, *, die: bool = False, drop_last: bool = False):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.passes: list[int] = []
+        self.killed: list[threading.Thread] = []
+        self.die = die
+        self.drop_last = drop_last
+
+    def run_batch(self, jobs):
+        self.passes.append(len(jobs))
+        if len(self.passes) == 1:
+            self.entered.set()
+            assert self.release.wait(10)
+            if self.die:
+                _die(self.killed)
+        results = [("priced", job) for job in jobs]
+        return results[:-1] if self.drop_last and len(jobs) > 1 else results
+
+
+def _queue_behind_first_pass(batcher: AdmissionBatcher,
+                             backend: _GatedBackend, n: int) -> dict:
+    """Submit job 0 so the first pass blocks, queue jobs 1..n from one
+    thread each, release the pass, and return every submit's outcome
+    (its result or the exception it raised)."""
+    outcomes: dict = {}
+
+    def submit(i: int) -> None:
+        try:
+            outcomes[i] = batcher.submit(i, timeout=10)
+        except BaseException as exc:  # the outcome under test
+            outcomes[i] = exc
+
+    first = threading.Thread(target=submit, args=(0,))
+    first.start()
+    assert backend.entered.wait(10)
+    threads = [threading.Thread(target=submit, args=(i,))
+               for i in range(1, n + 1)]
+    for t in threads:
+        t.start()
+    deadline = time.monotonic() + 10
+    while len(batcher._queue) < n:  # every submit waits behind the pass
+        assert time.monotonic() < deadline, "submits never queued"
+        time.sleep(0.001)
+    backend.release.set()
+    for t in [first, *threads]:
+        t.join(timeout=15)
+    assert len(outcomes) == n + 1, "a submit hung"
+    return outcomes
+
+
+class TestNaturalBatching:
+    def test_pass_takes_everything_queued_behind_a_busy_pass(self):
+        backend = _GatedBackend()
+        batcher = AdmissionBatcher(backend)
+        try:
+            outcomes = _queue_behind_first_pass(batcher, backend, 12)
+        finally:
+            batcher.close()
+        assert backend.passes == [1, 12]
+        assert outcomes == {i: ("priced", i) for i in range(13)}
+        assert batcher.largest_batch == 12
+        assert batcher.batched_queries == 12
+
+    def test_queued_work_is_split_at_max_batch(self):
+        backend = _GatedBackend()
+        batcher = AdmissionBatcher(backend, max_batch=5)
+        try:
+            outcomes = _queue_behind_first_pass(batcher, backend, 12)
+        finally:
+            batcher.close()
+        assert backend.passes == [1, 5, 5, 2]
+        assert outcomes == {i: ("priced", i) for i in range(13)}
+
+    def test_lone_query_is_priced_without_sleeping(self, monkeypatch):
+        def no_sleep(seconds: float) -> None:
+            raise AssertionError(f"the batcher slept {seconds} s")
+
+        monkeypatch.setattr("repro.service.core.time.sleep", no_sleep)
+        job = BatchJob(Program(name="svc-lone", body=(
+            Phase("p", (ComputeOp(seconds=1e-6),)),)), cte_arm(4), 1)
+        batcher = AdmissionBatcher()
+        try:
+            result = batcher.submit(job, timeout=5)
+        finally:
+            batcher.close()
+        assert result.elapsed == \
+            BatchAnalyticBackend().run_batch([job])[0].elapsed
+        assert batcher.batches == 1
+
+    def test_no_lost_or_crossed_answers_under_fast_switching(self):
+        class Echo:
+            def __init__(self):
+                self.jobs = 0
+
+            def run_batch(self, jobs):
+                self.jobs += len(jobs)
+                return [("priced", job) for job in jobs]
+
+        backend = Echo()
+        batcher = AdmissionBatcher(backend, max_batch=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def worker(i: int):
+                return [batcher.submit((i, k), timeout=10) == ("priced", (i, k))
+                        for k in range(50)]
+            outputs = _hammer(16, worker)
+        finally:
+            sys.setswitchinterval(interval)
+            batcher.close()
+        assert all(all(out) and len(out) == 50 for out in outputs)
+        assert batcher.queries == backend.jobs == 16 * 50
+        assert batcher.largest_batch <= 8
+
+    def test_short_stacked_pass_falls_back_to_job_by_job(self):
+        backend = _GatedBackend(drop_last=True)
+        batcher = AdmissionBatcher(backend)
+        try:
+            outcomes = _queue_behind_first_pass(batcher, backend, 6)
+        finally:
+            batcher.close()
+        assert outcomes == {i: ("priced", i) for i in range(7)}
+        assert backend.passes == [1, 6] + [1] * 6
+
+    def test_short_single_pass_is_a_typed_500(self):
+        class Empty:
+            def run_batch(self, jobs):
+                return []
+
+        with CapacityService(_FAST, backend=Empty()) as svc:
+            status, body = svc.handle({"workload": "stream"})
+        assert status == 500
+        assert "ValueError" in body["error"]
+
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_dead_worker_fails_every_stranded_caller_fast(self):
+        backend = _GatedBackend(die=True)
+        batcher = AdmissionBatcher(backend)
+        try:
+            t0 = time.monotonic()
+            outcomes = _queue_behind_first_pass(batcher, backend, 8)
+            assert time.monotonic() - t0 < 5.0
+            assert backend.passes == [1]  # the queued jobs never ran
+            assert all(isinstance(o, ServiceError) and o.status == 503
+                       for o in outcomes.values()), outcomes
+            assert "backend died" in batcher.fault.message
+            for worker in backend.killed:
+                worker.join(timeout=5)
+                assert not worker.is_alive()
+            # the next submit starts a fresh worker; a pass that succeeds
+            # clears the fault
+            assert batcher.submit(99, timeout=5) == ("priced", 99)
+            assert batcher.fault is None
+        finally:
+            batcher.close()
 
 
 class TestServiceConcurrency:
@@ -333,8 +519,7 @@ class TestServiceConcurrency:
 
 class TestQuotaDeterminism:
     def _statuses(self, schedule) -> list[int]:
-        config = ServiceConfig(quota_rate=20.0, quota_burst=5.0,
-                               window_s=0.0)
+        config = ServiceConfig(quota_rate=20.0, quota_burst=5.0)
         with CapacityService(config) as svc:
             return [
                 svc.handle(a.scenario.query(a.client).to_request(),
@@ -356,8 +541,7 @@ class TestQuotaDeterminism:
         assert first.count(200) > 0
 
     def test_retry_after_is_positive(self):
-        config = ServiceConfig(quota_rate=1.0, quota_burst=1.0,
-                               window_s=0.0)
+        config = ServiceConfig(quota_rate=1.0, quota_burst=1.0)
         with CapacityService(config) as svc:
             request = {"workload": "stream", "n_nodes": 1, "client": "c"}
             assert svc.handle(request, now=0.0)[0] == 200
@@ -469,8 +653,7 @@ class TestHTTP:
     def server(self):
         from repro.service import ServiceServer
 
-        config = ServiceConfig(quota_rate=1e6, quota_burst=1e6,
-                               window_s=0.001)
+        config = ServiceConfig(quota_rate=1e6, quota_burst=1e6)
         with ServiceServer(CapacityService(config)) as srv:
             yield srv
 
@@ -516,6 +699,65 @@ class TestHTTP:
         except urllib.error.HTTPError as exc:
             assert exc.code == 404
 
+    def test_keep_alive_replies_are_not_held_by_nagle(self, server):
+        """A stock keep-alive client (delayed ACKs on) must not wait
+        ~40 ms per reply for the body segment."""
+        import http.client
+
+        body = json.dumps({"workload": "stream"}).encode()
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=10)
+        latencies = []
+        try:
+            for _ in range(20):
+                t0 = time.perf_counter()
+                conn.request("POST", "/v1/price", body=body,
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+                latencies.append(time.perf_counter() - t0)
+        finally:
+            conn.close()
+        assert statistics.median(latencies) < 0.020, latencies
+
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_dead_worker_is_503_within_a_second_and_unhealthy(self):
+        from repro.service import ServiceServer
+
+        class Dying:
+            killed: list[threading.Thread] = []
+
+            def run_batch(self, jobs):
+                _die(self.killed)
+
+        with ServiceServer(CapacityService(_FAST, backend=Dying())) as srv:
+            for _ in range(2):  # the restarted worker dies the same way
+                t0 = time.monotonic()
+                status, body = self._post(srv, {"workload": "stream"})
+                assert time.monotonic() - t0 < 1.0
+                assert status == 503
+                assert "backend died" in body["error"]
+            status, body = self._get(srv, "/v1/health")
+            assert status == 503
+            assert "backend died" in body["error"]
+            assert srv.service.stats()["failed"] == 2
+        for worker in Dying.killed:
+            worker.join(timeout=5)
+            assert not worker.is_alive()
+
+    def _get(self, server, path):
+        import urllib.error
+        import urllib.request
+
+        try:
+            with urllib.request.urlopen(server.url + path,
+                                        timeout=10) as resp:
+                return resp.status, json.loads(resp.read())
+        except urllib.error.HTTPError as exc:
+            return exc.code, json.loads(exc.read())
+
     def test_bad_json_is_400(self, server):
         status, body = self._post(server, b"{not json")
         assert status == 400
@@ -524,8 +766,7 @@ class TestHTTP:
     def test_client_header_feeds_quota(self):
         from repro.service import ServiceServer
 
-        config = ServiceConfig(quota_rate=0.001, quota_burst=1.0,
-                               window_s=0.0)
+        config = ServiceConfig(quota_rate=0.001, quota_burst=1.0)
         with ServiceServer(CapacityService(config)) as srv:
             ok = self._post(srv, {"workload": "stream"},
                             headers={"X-Client-Id": "h1"})

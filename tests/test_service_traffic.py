@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.service.traffic import (
     Report,
@@ -233,3 +234,23 @@ def test_virtual_latency_grows_with_offered_load(config):
     if fast.offered == 0:
         return
     assert slow.latency_ms["p99"] >= fast.latency_ms["p99"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(duration=st.floats(0.5, 5.0), seed=st.integers(0, 2**16),
+       per_item_s=st.floats(1e-5, 1e-2),
+       batch_overhead_s=st.floats(0.0, 1e-2))
+def test_lone_arrival_at_idle_server_is_priced_at_once(
+        duration, seed, per_item_s, batch_overhead_s):
+    """Like the service's batcher, the virtual server starts a pass as
+    soon as it is free: a lone arrival at ``t`` finishes at exactly
+    ``t + batch_overhead_s + per_item_s`` (no coalescing wait)."""
+    config = TrafficConfig(stages=((duration, 1.0 / duration),), seed=seed)
+    schedule = arrival_schedule(config)
+    assume(len(schedule) == 1)
+    t = schedule[0].t
+    report = virtual_report(config, per_item_s=per_item_s,
+                            batch_overhead_s=batch_overhead_s)
+    finish = t + batch_overhead_s + per_item_s
+    assert report.latency_ms["max"] == (finish - t) * 1e3
+    assert report.duration_s == max(config.duration_s, finish)
