@@ -6,8 +6,6 @@ Covers the layers the perf work targets:
 * DES engine event throughput (events/second);
 * a 64-rank allreduce campaign, simulated vs analytic fast collectives;
 * the IR optimizer passes (op-count shrink and wall cost);
-* batched tape evaluation vs the scalar analytic per-point loop over
-  every app scaling sweep (points/second each, asserted identical);
 * the full figure/table experiment suite — serial, with ``--jobs N``
   worker processes, and a cached re-run through the on-disk result cache;
 * the auto-tuner over the million-point NEMO knob space vs a naive
@@ -36,7 +34,9 @@ import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(_ROOT / "src"))
+sys.path.insert(1, str(_ROOT))  # tests.oracles: the scalar analytic oracle
 
 
 def best_of(fn, reps: int) -> float:
@@ -137,70 +137,6 @@ def bench_ir_lowering(reps: int) -> dict:
         "compile_seconds": compile_s,
         "analytic_run_seconds": analytic_s,
         "lower_seconds": lower_s,
-    }
-
-
-def bench_batched_suite(reps: int) -> dict:
-    """Batched tape evaluation vs the scalar analytic loop.
-
-    Sweeps every application's strong-scaling curve on both clusters —
-    the same points the figure suite prices — once through the scalar
-    ``AnalyticBackend`` per-point loop (forced via
-    ``REPRO_SCALAR_ANALYTIC``, the PR-4 path: every consultation
-    re-prices every point) and through the vectorized
-    :class:`~repro.ir.batch.BatchAnalyticBackend` tape path, asserting
-    the results are identical.  The batched path is reported twice:
-    cold (caches dropped — tape compile + vector evaluation) and
-    steady-state (content-hash memo warm — the regime the figure suite
-    runs in, since its experiments repeatedly consult the same sweeps).
-    """
-    from repro.apps import ALL_APPS, get_app
-    from repro.ir.batch import clear_caches
-    from repro.machine import cte_arm, marenostrum4
-
-    clusters = [cte_arm(192), marenostrum4(192)]
-    nodes = [1, 2, 4, 8, 12, 16, 24, 32, 48, 64, 96, 128]
-    apps = [get_app(name) for name in sorted(ALL_APPS)]
-
-    def sweep() -> list:
-        out = []
-        for app in apps:
-            for cluster in clusters:
-                out.append(app.sweep_timings(cluster, nodes))
-        return out
-
-    def run_scalar() -> list:
-        os.environ["REPRO_SCALAR_ANALYTIC"] = "1"
-        try:
-            return sweep()
-        finally:
-            del os.environ["REPRO_SCALAR_ANALYTIC"]
-
-    def run_cold() -> list:
-        clear_caches()
-        return sweep()
-
-    scalar_wall = best_of(run_scalar, reps)
-    cold_wall = best_of(run_cold, reps)
-    warm_wall = best_of(sweep, max(3, reps))
-    scalar_out = run_scalar()
-    batched_out = sweep()
-    assert scalar_out == batched_out, "batched sweep must match scalar"
-    n_points = sum(
-        1 for timings in batched_out for t in timings.values()
-        if t is not None
-    )
-    return {
-        "apps": len(apps),
-        "clusters": len(clusters),
-        "points": n_points,
-        "scalar_seconds": scalar_wall,
-        "batched_cold_seconds": cold_wall,
-        "batched_seconds": warm_wall,
-        "scalar_points_per_second": n_points / scalar_wall,
-        "batched_points_per_second": n_points / warm_wall,
-        "cold_speedup": scalar_wall / cold_wall,
-        "speedup": scalar_wall / warm_wall,
     }
 
 
@@ -373,9 +309,9 @@ def bench_ecm_pricing(quick: bool) -> dict:
     """Roofline vs ECM pricing cost and separation on the kernel benches.
 
     Prices the spmv/qcd node sweep on both paper clusters under each
-    registered pricing model (scalar analytic path) and re-prices one
-    point through the batched backend under ECM, asserting scalar and
-    batched agree bit-for-bit — the model-identity-in-cache-key
+    registered pricing model and re-prices one point through the tape
+    engine under ECM, asserting it equals the scalar oracle walk
+    (``tests/oracles.py``) bit-for-bit — the model-identity-in-cache-key
     regression this row exists to catch.
     """
     from repro.bench.qcd import ir_program as qcd_ir
@@ -383,8 +319,8 @@ def bench_ecm_pricing(quick: bool) -> dict:
     from repro.bench.spmv import ir_program as spmv_ir
     from repro.bench.spmv import pricing_points as spmv_points
     from repro.ir import BatchAnalyticBackend
-    from repro.ir.analytic import AnalyticBackend
     from repro.machine import cte_arm, marenostrum4
+    from tests.oracles import analytic_oracle
 
     clusters = [cte_arm(192), marenostrum4(192)]
     nodes = [1, 4, 16] if quick else [1, 2, 4, 8, 16, 32, 64]
@@ -406,13 +342,13 @@ def bench_ecm_pricing(quick: bool) -> dict:
     cluster = clusters[0]
     for builder in (spmv_ir, qcd_ir):
         program = builder(cluster, 16)
-        scalar = AnalyticBackend().run(program, cluster, 16,
-                                       check_memory=False, pricing="ecm")
+        scalar = analytic_oracle(program, cluster, 16, check_memory=False,
+                                 pricing="ecm")
         batched = BatchAnalyticBackend().run(program, cluster, 16,
                                              check_memory=False,
                                              pricing="ecm")
         assert batched.elapsed == scalar.elapsed, \
-            "batched ECM pricing must match scalar bit-for-bit"
+            "batched ECM pricing must match the scalar oracle bit-for-bit"
     return {
         "points": len(rows),
         "wall_seconds": wall,
@@ -563,7 +499,6 @@ def main(argv: list[str] | None = None) -> int:
         "allreduce_64_ranks": bench_allreduce(reps, iterations),
         "ir_lowering": bench_ir_lowering(reps),
         "ir_optimize": bench_ir_optimize(reps),
-        "batched_figure_suite": bench_batched_suite(max(1, reps // 2)),
         "des_sharded": bench_des_sharded(args.quick),
         "ecm_pricing": bench_ecm_pricing(args.quick),
         "thunderx2_figure": bench_thunderx2_figure(args.quick),
@@ -590,15 +525,6 @@ def main(argv: list[str] | None = None) -> int:
           f"{opt['optimize_all_seconds'] * 1e3:,.2f} ms (best shrink "
           f"{shrunk['program']}: {shrunk['ops_before']} -> "
           f"{shrunk['ops_after']} ops)")
-    bat = report["batched_figure_suite"]
-    print(f"batched eval: {bat['points']} points, scalar "
-          f"{bat['scalar_seconds']:.3f}s "
-          f"({bat['scalar_points_per_second']:,.0f} pts/s), batched "
-          f"cold {bat['batched_cold_seconds']:.3f}s "
-          f"({bat['cold_speedup']:.1f}x), steady-state "
-          f"{bat['batched_seconds']:.4f}s "
-          f"({bat['batched_points_per_second']:,.0f} pts/s, "
-          f"{bat['speedup']:.1f}x)")
     shd = report["des_sharded"]
     top = shd["rows"][-1]
     line = (f"sharded DES:  {top['n_shards']} shards "

@@ -27,7 +27,6 @@ from repro.apps.miniapps_linalg import fft_transpose_miniapp, lu_miniapp
 from repro.apps.miniapp_md import md_miniapp
 from repro.apps.miniapp_spectral import spectral_miniapp
 from repro.apps.miniapp_fem import fem_miniapp
-from repro.apps.des_runner import compare_des_vs_analytic, des_time_step
 
 ALL_APPS = {
     "alya": AlyaModel,
@@ -69,6 +68,4 @@ __all__ = [
     "md_miniapp",
     "spectral_miniapp",
     "fem_miniapp",
-    "compare_des_vs_analytic",
-    "des_time_step",
 ]

@@ -4,7 +4,7 @@ An application declares, per time step, a list of :class:`PhaseWork` items
 (total flops, total main-memory bytes, per-rank communication operations).
 ``program`` compiles them — once — into the engine-agnostic
 :class:`repro.ir.Program`; ``time_step`` evaluates that program under a
-pluggable backend (default: :class:`~repro.ir.AnalyticBackend`):
+pluggable backend (default: the ``analytic`` tape engine):
 
 * per-phase compute follows the roofline
   ``max(flops / aggregate_rate, bytes / aggregate_bandwidth)`` where the
@@ -23,7 +23,6 @@ Section V (which compilers were tried, how they failed).
 from __future__ import annotations
 
 import abc
-import os
 from dataclasses import dataclass, field
 
 from repro.ir.backend import Backend, default_backend_name, get_backend
@@ -83,11 +82,12 @@ class StepTiming:
         return sum(self.phase_seconds.values())
 
 
-def _step_timing(cluster: ClusterModel, n_nodes: int, result) -> StepTiming:
-    """A backend :class:`~repro.ir.RunResult` as a per-step breakdown."""
+def _step_timing(result) -> StepTiming:
+    """A fresh per-step breakdown copied from a backend
+    :class:`~repro.ir.RunResult` (or another :class:`StepTiming`)."""
     return StepTiming(
-        cluster=cluster.name,
-        n_nodes=n_nodes,
+        cluster=result.cluster,
+        n_nodes=result.n_nodes,
         phase_seconds=dict(result.phase_seconds),
         phase_compute=dict(result.phase_compute),
         phase_comm=dict(result.phase_comm),
@@ -118,11 +118,7 @@ def _resolve_backend(backend: str | Backend | None) -> Backend:
     return get_backend(backend)
 
 
-#: set to any non-empty value to force the scalar analytic walk at the
-#: app-model call sites (differential tests, benchmarks).
-_SCALAR_ENV = "REPRO_SCALAR_ANALYTIC"
-
-#: sweep-level result memo for the batched-analytic default path.  Keyed
+#: sweep-level result memo for the analytic (tape-engine) path.  Keyed
 #: on everything the evaluation is a pure function of: the app class and
 #: instance state, the declared model attributes, a content fingerprint
 #: of the cluster and of the binary (so vec_table what-ifs never
@@ -135,38 +131,6 @@ _SWEEP_MEMO_CAP = 4096
 def clear_sweep_memo() -> None:
     """Drop the sweep-level timing memo (tests, benchmarks)."""
     _SWEEP_MEMO.clear()
-
-
-def _copy_timing(timing: "StepTiming") -> "StepTiming":
-    return StepTiming(
-        cluster=timing.cluster,
-        n_nodes=timing.n_nodes,
-        phase_seconds=dict(timing.phase_seconds),
-        phase_compute=dict(timing.phase_compute),
-        phase_comm=dict(timing.phase_comm),
-        phase_flops_time=dict(timing.phase_flops_time),
-        phase_bytes_time=dict(timing.phase_bytes_time),
-    )
-
-
-def _batched_engine(engine: Backend, network: NetworkModel | None):
-    """The batched analytic engine for this call, or None to stay scalar.
-
-    Plain ``AnalyticBackend`` requests upgrade to the shared
-    :class:`~repro.ir.batch.BatchAnalyticBackend` (bit-for-bit identical,
-    memoized per evaluation point) unless an explicit ``network`` override
-    or ``$REPRO_SCALAR_ANALYTIC`` opts out; subclasses are left alone.
-    """
-    if os.environ.get(_SCALAR_ENV):
-        return None
-    from repro.ir.analytic import AnalyticBackend
-    from repro.ir.batch import BatchAnalyticBackend, shared_batch_backend
-
-    if isinstance(engine, BatchAnalyticBackend):
-        return engine if network is None else None
-    if type(engine) is AnalyticBackend and network is None:
-        return shared_batch_backend()
-    return None
 
 
 class AppModel(abc.ABC):
@@ -371,9 +335,6 @@ class AppModel(abc.ABC):
         arithmetic bit-for-bit.
         """
         engine = _resolve_backend(backend)
-        batched = _batched_engine(engine, network)
-        if batched is not None:
-            engine = batched
         if work_scale == 1.0:
             self.check_feasible(cluster, n_nodes)
         mapping = self.mapping(cluster, n_nodes)
@@ -386,7 +347,7 @@ class AppModel(abc.ABC):
             mapping=mapping, network=network, binary=binary,
             check_memory=False,
         )
-        return _step_timing(cluster, n_nodes, result)
+        return _step_timing(result)
 
     def sweep_timings(
         self,
@@ -400,22 +361,28 @@ class AppModel(abc.ABC):
 
         Returns ``{n: StepTiming}`` with ``None`` marking NP (memory
         infeasible) points; node counts beyond the cluster size are
-        skipped.  Under the (default) analytic backend all feasible
-        points are priced by one
+        skipped.  Under the (default) analytic engine all feasible points
+        are priced by one
         :meth:`~repro.ir.batch.BatchAnalyticBackend.run_batch` call —
-        bit-for-bit identical to calling :meth:`time_step` per point,
-        minus the per-point Python walk.
+        bit-for-bit identical to calling :meth:`time_step` per point —
+        and memoized; simulating backends (``des``, ``fastcoll``) run
+        :meth:`time_step` per point.
         """
-        engine = _resolve_backend(backend)
-        batched = _batched_engine(engine, None)
-        memo_key = None
-        if batched is not None:
-            from repro.ir.batch import binary_fingerprint, cluster_fingerprint
-            from repro.machine.models import default_pricing_name
+        from repro.ir.batch import (
+            BatchAnalyticBackend,
+            BatchJob,
+            binary_fingerprint,
+            cluster_fingerprint,
+        )
+        from repro.machine.models import default_pricing_name
 
-            if binary is None:
-                binary = self.build(cluster)
-            binary.check_runnable()
+        engine = _resolve_backend(backend)
+        if binary is None:
+            binary = self.build(cluster)
+        binary.check_runnable()
+        analytic = isinstance(engine, BatchAnalyticBackend)
+        memo_key = None
+        if analytic:
             memo_key = (
                 type(self), repr(sorted(vars(self).items())),
                 self.name, self.language, self.kernels,
@@ -429,7 +396,7 @@ class AppModel(abc.ABC):
             )
             hit = _SWEEP_MEMO.get(memo_key)
             if hit is not None:
-                return {n: None if t is None else _copy_timing(t)
+                return {n: None if t is None else _step_timing(t)
                         for n, t in hit.items()}
         out: dict[int, StepTiming | None] = {}
         feasible: list[int] = []
@@ -442,33 +409,26 @@ class AppModel(abc.ABC):
                 out[n] = None
                 continue
             feasible.append(n)
-        if feasible:
-            if binary is None:
-                binary = self.build(cluster)
-            binary.check_runnable()
-            if batched is not None:
-                from repro.ir.batch import BatchJob
-
-                jobs = []
-                for n in feasible:
-                    mapping = self.mapping(cluster, n)
-                    jobs.append(BatchJob(
-                        self.program(mapping, steps=1), cluster, n,
-                        mapping=mapping, binary=binary, check_memory=False,
-                    ))
-                for n, result in zip(feasible, batched.run_batch(jobs)):
-                    out[n] = _step_timing(cluster, n, result)
-            else:
-                for n in feasible:
-                    out[n] = self.time_step(cluster, n, binary=binary,
-                                            backend=engine)
-        if memo_key is not None:
-            if len(_SWEEP_MEMO) >= _SWEEP_MEMO_CAP:
-                _SWEEP_MEMO.clear()
-            _SWEEP_MEMO[memo_key] = {
-                n: None if t is None else _copy_timing(t)
-                for n, t in out.items()
-            }
+        if not analytic:
+            for n in feasible:
+                out[n] = self.time_step(cluster, n, binary=binary,
+                                        backend=engine)
+            return out
+        jobs = []
+        for n in feasible:
+            mapping = self.mapping(cluster, n)
+            jobs.append(BatchJob(
+                self.program(mapping, steps=1), cluster, n,
+                mapping=mapping, binary=binary, check_memory=False,
+            ))
+        for n, result in zip(feasible, engine.run_batch(jobs)):
+            out[n] = _step_timing(result)
+        if len(_SWEEP_MEMO) >= _SWEEP_MEMO_CAP:
+            _SWEEP_MEMO.clear()
+        _SWEEP_MEMO[memo_key] = {
+            n: None if t is None else _step_timing(t)
+            for n, t in out.items()
+        }
         return out
 
     def scaling(

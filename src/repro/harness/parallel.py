@@ -116,10 +116,6 @@ def pool_min_seconds() -> float:
         ) from None
 
 
-#: Backwards-compatible private alias (pre-ISSUE-10 call sites).
-_pool_min_seconds = pool_min_seconds
-
-
 def _run_one(exp_id: str, backend: str = "analytic",
              pricing: str = "roofline") -> dict:
     """Worker: run one experiment, return a JSON-safe payload."""
@@ -252,7 +248,7 @@ def run_experiments(
         stats.append((missing[0], per_task, "probe"))
         rest = missing[1:]
         if (rest and jobs > 1
-                and per_task * len(rest) >= _pool_min_seconds()):
+                and per_task * len(rest) >= pool_min_seconds()):
             workers = min(jobs, len(rest))
             # Chunk instead of one task per process dispatch: amortizes
             # pickling/IPC over len(rest)/workers tasks per round trip.

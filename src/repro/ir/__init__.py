@@ -7,16 +7,14 @@ application models and the synthetic benchmarks — is expressed **once** as
 a typed operation stream and evaluated under any of three pluggable
 execution backends:
 
-* :class:`AnalyticBackend` — closed-form roofline compute plus the
-  analytic :class:`~repro.network.collectives.CollectiveCosts`, including
-  Amdahl serial fractions and the Table-IV NP memory gating.  O(phases)
-  cost; powers the 192-node figures.
-* :class:`BatchAnalyticBackend` — the analytic model compiled to a flat
-  numpy tape (:func:`compile_tape`) and evaluated for a whole *vector* of
-  (cluster, n_nodes, overrides) points at once; bit-for-bit identical to
-  :class:`AnalyticBackend` per point, orders of magnitude faster per
-  sweep.  The optimizer passes of :mod:`repro.ir.optimize` shrink
-  programs before taping or DES lowering.
+* :class:`AnalyticBackend` / :class:`BatchAnalyticBackend` (registry
+  names ``analytic`` / ``batch``, one engine) — closed-form roofline
+  compute plus the analytic collective costs, including Amdahl serial
+  fractions and the Table-IV NP memory gating, compiled to a flat numpy
+  tape (:func:`compile_tape`) and evaluated for one point or a whole
+  *vector* of (cluster, n_nodes, overrides) points in one pass.
+  O(phases) cost; powers the 192-node figures.  The optimizer passes of
+  :mod:`repro.ir.optimize` shrink programs before taping or DES lowering.
 * :class:`FastCollBackend` — the DES with the closed-form per-rank
   collective recurrences of :mod:`repro.simmpi.fastcoll` substituted for
   the simulated message exchange.  Exact for bulk-synchronous programs.

@@ -1,137 +1,38 @@
-"""Analytic backend: closed-form pricing of an IR program.
+"""The ``analytic`` backend: closed-form pricing of an IR program.
 
 This is the cost model behind the paper-scale figures, O(#phases) per
 evaluation.  Per phase occurrence:
 
 * :class:`~repro.ir.ops.ComputeOp` — roofline
-  ``max(flops / aggregate_rate, bytes / aggregate_bandwidth) * imbalance``
-  where the aggregate rate uses the *toolchain-model* sustained per-core
-  rate of the op's kernel class (or the op's explicit ``rate_per_core``);
-  fixed-``seconds`` ops charge their wall time directly;
-* :class:`~repro.ir.ops.MemOp` — ``bytes / aggregate_bandwidth``;
-* :class:`~repro.ir.ops.CommOp` — the analytic
+  ``max(flops / aggregate_rate, data_seconds) * imbalance`` where the
+  aggregate rate uses the *toolchain-model* sustained per-core rate of the
+  op's kernel class (or the op's explicit ``rate_per_core``) and the data
+  arm comes from the pricing model (``bytes / aggregate_bandwidth`` under
+  the default roofline); fixed-``seconds`` ops charge their wall time
+  directly;
+* :class:`~repro.ir.ops.MemOp` — the pricing model's data arm alone;
+* :class:`~repro.ir.ops.CommOp` — the closed forms of
   :class:`~repro.network.collectives.CollectiveCosts` over the cluster's
-  network model; :class:`~repro.ir.ops.Barrier` prices as ``costs.barrier()``;
+  network model; :class:`~repro.ir.ops.Barrier` prices as
+  ``costs.barrier()``;
 * :class:`~repro.ir.ops.SerialOp` — charged once per occurrence, not
   divided by ranks (the Amdahl term).
 
-The arithmetic (expression shapes and evaluation order) is kept identical
-to the historical ``AppModel.time_step`` so the committed EXPERIMENTS.md
-figures are bit-for-bit unchanged under the refactor.
+The arithmetic lives in one place, the tape evaluator of
+:mod:`repro.ir.batch`; ``analytic`` is that engine under its historical
+registry name, so :attr:`RunResult.backend` reports ``"analytic"``.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.ir.backend import BACKENDS, Backend, RunResult
-from repro.ir.ops import Barrier, CommOp, ComputeOp, MemOp, SerialOp
-from repro.ir.program import Program
-from repro.machine.cluster import ClusterModel
-from repro.machine.models import PricingContext, PricingModel, resolve_pricing
-from repro.network.collectives import CollectiveCosts
-from repro.network.model import NetworkModel, network_for
-from repro.simmpi.mapping import RankMapping
-from repro.toolchain.compiler import Binary
-from repro.util.errors import ConfigurationError
+from repro.ir.backend import BACKENDS
+from repro.ir.batch import BatchAnalyticBackend
 
 
-class AnalyticBackend(Backend):
-    """Closed-form roofline + collective-cost pricing (no simulation).
-
-    The ComputeOp/MemOp arithmetic is delegated to a pluggable
-    :class:`~repro.machine.models.PricingModel`; the default
-    ``RooflineModel`` reproduces the historical inline arithmetic
-    bit-for-bit.
-    """
+class AnalyticBackend(BatchAnalyticBackend):
+    """Closed-form roofline + collective-cost pricing (no simulation)."""
 
     name = "analytic"
-
-    def run(
-        self,
-        program: Program,
-        cluster: ClusterModel,
-        n_nodes: int,
-        *,
-        mapping: RankMapping | None = None,
-        network: NetworkModel | None = None,
-        binary: Binary | None = None,
-        check_memory: bool = True,
-        pricing: str | PricingModel | None = None,
-        **kwargs: Any,
-    ) -> RunResult:
-        if kwargs:
-            raise ConfigurationError(
-                f"analytic backend does not accept {sorted(kwargs)}"
-            )
-        model = resolve_pricing(pricing)
-        if check_memory:
-            program.check_feasible(cluster, n_nodes)
-        mapping = self._mapping(program, cluster, n_nodes, mapping)
-        binary = self._binary(program, cluster, binary)
-        net = network if network is not None else network_for(
-            cluster, n_nodes=n_nodes
-        )
-        costs = CollectiveCosts(mapping=mapping, network=net)
-        core = cluster.node.core_model
-        n_ranks = mapping.n_ranks
-        agg_bw = n_ranks * mapping.rank_memory_bandwidth(0)
-        ctx = PricingContext(
-            mapping=mapping,
-            cluster=cluster,
-            core=core,
-            binary=binary,
-            n_ranks=n_ranks,
-            agg_bw=agg_bw,
-        )
-        result = RunResult(
-            backend=self.name,
-            program=program.name,
-            cluster=cluster.name,
-            n_nodes=n_nodes,
-            n_ranks=n_ranks,
-            elapsed=0.0,
-            steps=program.steps,
-        )
-        for name in program.phase_names():
-            result.phase_seconds[name] = 0.0
-            result.phase_compute[name] = 0.0
-            result.phase_comm[name] = 0.0
-            result.phase_flops_time[name] = 0.0
-            result.phase_bytes_time[name] = 0.0
-        for phase, mult in program.iter_phases():
-            t_compute = 0.0
-            t_comm = 0.0
-            serial = 0.0
-            t_flops_sum = 0.0
-            t_bytes_sum = 0.0
-            for op in phase.ops:
-                if isinstance(op, ComputeOp):
-                    price = model.price_compute(op, ctx, phase=phase.name)
-                    t_compute += price.seconds
-                    t_flops_sum += price.t_flops
-                    t_bytes_sum += price.t_bytes
-                elif isinstance(op, MemOp):
-                    t_bytes = model.price_mem(op, ctx)
-                    t_compute += t_bytes
-                    t_bytes_sum += t_bytes
-                elif isinstance(op, SerialOp):
-                    serial += op.seconds
-                elif isinstance(op, CommOp):
-                    t_comm += op.cost(costs)
-                elif isinstance(op, Barrier):
-                    t_comm += costs.barrier()
-                else:  # pragma: no cover - Phase only holds Op members
-                    raise ConfigurationError(f"cannot price op {op!r}")
-            total = t_compute + t_comm + serial
-            name = phase.name
-            result.phase_seconds[name] += mult * total
-            result.phase_compute[name] += mult * t_compute
-            result.phase_comm[name] += mult * t_comm
-            result.phase_flops_time[name] += mult * t_flops_sum
-            result.phase_bytes_time[name] += mult * t_bytes_sum
-        result.elapsed = sum(result.phase_seconds.values())
-        return result
 
 
 BACKENDS[AnalyticBackend.name] = AnalyticBackend

@@ -1,14 +1,11 @@
 """Pluggable pricing models: roofline and ECM compute-op cost strategies.
 
-Historically the roofline arithmetic lived inline in
-:class:`repro.ir.analytic.AnalyticBackend` and was duplicated by the
-batched tape compiler, so an alternative cost model (or a new machine
-that wants one) required touching every backend by hand.  This module
-extracts pricing behind a small strategy interface:
+A pricing model owns the *data arm* of the analytic cost — the seconds a
+ComputeOp/MemOp spends moving bytes — behind a small strategy interface:
 
-* :class:`RooflineModel` — a bit-exact extraction of the historical
-  ``max(flops / agg_rate, bytes / agg_bw) * imbalance`` arithmetic.  The
-  committed EXPERIMENTS.md figures are byte-identical under this default.
+* :class:`RooflineModel` — the historical ``bytes / agg_bw`` memory arm.
+  The committed EXPERIMENTS.md figures are byte-identical under this
+  default.
 * :class:`ECMModel` — an Execution-Cache-Memory style model ("ECM modeling
   and performance tuning of SpMV and Lattice QCD on A64FX", PAPERS.md):
   on A64FX the cache hierarchy does not overlap with the memory transfer,
@@ -17,12 +14,13 @@ extracts pricing behind a small strategy interface:
   the pure main-memory roofline bound.  ECM therefore never prices a
   compute op *faster* than roofline (a property test pins this).
 
-Models vectorize through the batched tape evaluator via
-:meth:`PricingModel.tape_columns`: each model may declare extra per-op
-columns (pure functions of the op) that ``compile_tape`` stacks next to
-``flops``/``bytes`` and :meth:`PricingModel.batch_data_seconds` consumes
-as numpy arrays.  Scalar and batched evaluation share the exact same
-expression shapes, so batched == scalar stays bit-for-bit.
+Each model has ONE :meth:`PricingModel.data_seconds`, written with numpy
+ufuncs so it takes Python scalars or arrays alike.  The tape evaluator
+(:mod:`repro.ir.batch`) calls it with per-row tape columns — extra per-op
+columns a model declares through :meth:`PricingModel.tape_columns` are
+stacked next to ``flops``/``bytes`` at compile time — and
+:meth:`PricingModel.price_compute` / :meth:`PricingModel.price_mem` call
+it with one op's scalars for the DES lowering of non-roofline models.
 """
 
 from __future__ import annotations
@@ -30,14 +28,13 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import Any
+
+import numpy as np
 
 from repro.machine.cluster import ClusterModel
 from repro.machine.core import CoreModel
 from repro.util.errors import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (machine <- ir)
-    import numpy as np
 
 #: In-flight cache-line streams per core assumed by the ECM transfer terms;
 #: A64FX sustains 8 outstanding L2 prefetch streams per core (ECM paper,
@@ -106,10 +103,8 @@ class PricingContext:
 class PricingModel(ABC):
     """Strategy pricing ComputeOp/MemOp data movement and flops.
 
-    Subclasses implement :meth:`data_seconds` (scalar) and
-    :meth:`batch_data_seconds` (vectorized over a tape column) with the
-    SAME expression shape, so the batched evaluator stays bit-identical
-    to the scalar walk under every model.
+    Subclasses implement :meth:`data_seconds` once, over scalars or
+    arrays, so every caller runs the same expression.
     """
 
     #: registry key and cache-key component
@@ -131,8 +126,8 @@ class PricingModel(ABC):
         """Extra per-op tape columns this model needs, name -> extractor.
 
         Extractors are pure functions of the op (no context), evaluated at
-        tape-compile time; ``batch_data_seconds`` receives them stacked as
-        numpy arrays.  Column names must be globally unique across models.
+        tape-compile time; :meth:`data_seconds` receives their values in
+        ``extras``.  Column names must be globally unique across models.
         """
         return {}
 
@@ -147,33 +142,26 @@ class PricingModel(ABC):
         return prep
 
     @abstractmethod
-    def data_seconds(self, bytes_moved: float, op: Any,
-                     ctx: PricingContext) -> float:
-        """Seconds to move ``bytes_moved`` bytes for one op occurrence."""
+    def data_seconds(self, bytes_moved: Any, extras: dict[str, Any],
+                     agg_bw: Any, prep: Any) -> Any:
+        """Seconds to move ``bytes_moved`` bytes, elementwise.
 
-    @abstractmethod
-    def batch_data_seconds(
-        self,
-        bytes_col: "np.ndarray",
-        extras: dict[str, "np.ndarray"],
-        agg_bw: "np.ndarray",
-        preps: "np.ndarray",
-    ) -> "np.ndarray":
-        """Vectorized :meth:`data_seconds` over one tape row x all jobs.
-
-        ``bytes_col`` / ``extras[...]`` are per-job op columns, ``agg_bw``
-        the per-job aggregate bandwidth, ``preps`` the per-job
-        :meth:`prepare` scalars.  Zero-byte entries must price to 0.0.
+        ``extras`` holds this model's :meth:`tape_columns` values for the
+        same op(s), ``agg_bw`` the aggregate memory bandwidth and ``prep``
+        the :meth:`prepare` scalar.  Every argument is a scalar or an
+        array of one broadcast shape; zero-byte entries price to 0.0.
         """
+
+    def _op_data_seconds(self, op: Any, ctx: PricingContext) -> float:
+        if not op.bytes_moved:
+            return 0.0
+        extras = {name: fn(op) for name, fn in self.tape_columns().items()}
+        return float(self.data_seconds(op.bytes_moved, extras, ctx.agg_bw,
+                                       self._prep(ctx)))
 
     def price_compute(self, op: Any, ctx: PricingContext, *,
                       phase: str = "") -> ComputePrice:
-        """Price one ComputeOp occurrence — the historical arithmetic.
-
-        Expression shapes and evaluation order match the pre-refactor
-        ``AnalyticBackend`` loop exactly; only the ``t_bytes`` arm is
-        delegated to the model.
-        """
+        """Price one ComputeOp occurrence (the DES lowering's path)."""
         if op.seconds is not None:
             return ComputePrice(0.0, 0.0, op.seconds * op.imbalance)
         if op.flops:
@@ -190,18 +178,12 @@ class PricingModel(ABC):
             t_flops = op.flops / agg_rate
         else:
             t_flops = 0.0
-        t_bytes = (
-            self.data_seconds(op.bytes_moved, op, ctx)
-            if op.bytes_moved else 0.0
-        )
+        t_bytes = self._op_data_seconds(op, ctx)
         return ComputePrice(t_flops, t_bytes, max(t_flops, t_bytes) * op.imbalance)
 
     def price_mem(self, op: Any, ctx: PricingContext) -> float:
         """Price one MemOp occurrence (pure data movement)."""
-        return (
-            self.data_seconds(op.bytes_moved, op, ctx)
-            if op.bytes_moved else 0.0
-        )
+        return self._op_data_seconds(op, ctx)
 
 
 class RooflineModel(PricingModel):
@@ -209,25 +191,9 @@ class RooflineModel(PricingModel):
 
     name = "roofline"
 
-    def data_seconds(self, bytes_moved: float, op: Any,
-                     ctx: PricingContext) -> float:
-        return bytes_moved / ctx.agg_bw
-
-    def batch_data_seconds(
-        self,
-        bytes_col: "np.ndarray",
-        extras: dict[str, "np.ndarray"],
-        agg_bw: "np.ndarray",
-        preps: "np.ndarray",
-    ) -> "np.ndarray":
-        import numpy as np
-
-        return np.where(bytes_col != 0.0, bytes_col / agg_bw, 0.0)
-
-
-def ecm_traffic_factor(kernel_name: str | None) -> float:
-    """Hierarchy-traffic amplification for one kernel class name."""
-    return ECM_TRAFFIC_FACTORS.get(kernel_name, 1.0)
+    def data_seconds(self, bytes_moved: Any, extras: dict[str, Any],
+                     agg_bw: Any, prep: Any) -> Any:
+        return np.where(bytes_moved != 0.0, bytes_moved / agg_bw, 0.0)
 
 
 def _ecm_hier_bytes(op: Any) -> float:
@@ -236,8 +202,9 @@ def _ecm_hier_bytes(op: Any) -> float:
     if not bytes_moved:
         return 0.0
     kernel = getattr(op, "kernel", None)
-    return ecm_traffic_factor(kernel.name if kernel is not None else None) \
-        * bytes_moved
+    factor = ECM_TRAFFIC_FACTORS.get(
+        kernel.name if kernel is not None else None, 1.0)
+    return factor * bytes_moved
 
 
 class ECMModel(PricingModel):
@@ -280,22 +247,11 @@ class ECMModel(PricingModel):
             prep += 1.0 / (level_bw * mapping.n_nodes)
         return prep
 
-    def data_seconds(self, bytes_moved: float, op: Any,
-                     ctx: PricingContext) -> float:
-        return bytes_moved / ctx.agg_bw + _ecm_hier_bytes(op) * self._prep(ctx)
-
-    def batch_data_seconds(
-        self,
-        bytes_col: "np.ndarray",
-        extras: dict[str, "np.ndarray"],
-        agg_bw: "np.ndarray",
-        preps: "np.ndarray",
-    ) -> "np.ndarray":
-        import numpy as np
-
+    def data_seconds(self, bytes_moved: Any, extras: dict[str, Any],
+                     agg_bw: Any, prep: Any) -> Any:
         return np.where(
-            bytes_col != 0.0,
-            bytes_col / agg_bw + extras["ecm_hier_bytes"] * preps,
+            bytes_moved != 0.0,
+            bytes_moved / agg_bw + extras["ecm_hier_bytes"] * prep,
             0.0,
         )
 
@@ -339,19 +295,6 @@ def get_pricing_model(name: str) -> PricingModel:
 def pricing_model_names() -> tuple[str, ...]:
     """Registered model names, sorted (CLI choices are derived from this)."""
     return tuple(sorted(PRICING_MODELS))
-
-
-def extra_tape_columns() -> tuple[str, ...]:
-    """Union of every registered model's extra tape columns, sorted.
-
-    The tape compiler stacks ALL of these so one compiled tape serves any
-    model; a tape's digest covers them, and the tape cache is invalidated
-    when a late registration adds new columns.
-    """
-    names: set[str] = set()
-    for model in PRICING_MODELS.values():
-        names.update(model.tape_columns())
-    return tuple(sorted(names))
 
 
 def column_extractors() -> dict[str, Callable[[Any], float]]:

@@ -19,6 +19,7 @@ from repro.network.faults import FaultModel
 from repro.resilience import FaultSchedule, LinkDegrade, ResiliencePolicy
 from repro.simmpi import RankMapping, World
 
+from tests.oracles import analytic_oracle, assert_matches_oracle
 from tests.strategies import ProgramSpec, ir_programs, program_specs
 
 _CLUSTER = cte_arm(16)
@@ -141,6 +142,8 @@ class TestCrossBackend:
         r_des = des.run(program, cluster, n_nodes, **kwargs)
         r_fast = fastcoll.run(program, cluster, n_nodes, **kwargs)
         r_an = analytic.run(program, cluster, n_nodes, **kwargs)
+        assert_matches_oracle(r_an, analytic_oracle(program, cluster,
+                                                     n_nodes, **kwargs))
         assert r_des.elapsed > 0
         assert r_fast.elapsed == pytest.approx(r_des.elapsed, rel=REL)
         lo, hi = band

@@ -45,6 +45,7 @@ from repro.simmpi.payload import VirtualPayload
 from repro.simmpi.world import World
 from repro.util.errors import ConfigurationError, OutOfMemoryError
 
+from .oracles import analytic_oracle
 from .strategies import ir_programs
 
 _CLUSTER = cte_arm(16)
@@ -223,7 +224,7 @@ class TestAnalyticParity:
         timing = app.time_step(_CLUSTER, n_nodes)
         mapping = app.mapping(_CLUSTER, n_nodes)
         program = app.program(mapping)
-        result = AnalyticBackend().run(
+        result = analytic_oracle(
             program, _CLUSTER, n_nodes,
             mapping=mapping, binary=app.build(_CLUSTER), check_memory=False)
         assert result.phase_seconds == timing.phase_seconds

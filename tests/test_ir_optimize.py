@@ -2,8 +2,9 @@
 
 Unit tests pin the rewrite rules' edge cases (zero-trip loops, mixed-
 phase adjacency, roofline-arm mixing); the hypothesis property at the
-bottom asserts every pass preserves the scalar ``AnalyticBackend``
-output on random IR programs within the documented 1e-12 band
+bottom asserts every pass preserves the scalar analytic walk
+(``tests/oracles.py``, which the ``analytic`` engine must equal bit for
+bit) on random IR programs within the documented 1e-12 band
 (``fold_constants`` is held to bit-exactness).
 """
 
@@ -33,6 +34,7 @@ from repro.ir import (
 )
 from repro.machine.presets import cte_arm
 
+from .oracles import analytic_oracle, assert_matches_oracle
 from .strategies import ir_programs
 
 _CLUSTER = cte_arm(8)
@@ -43,7 +45,7 @@ def _prog(*items, steps=1):
 
 
 def _run(program):
-    return AnalyticBackend().run(program, _CLUSTER, 4, check_memory=False)
+    return analytic_oracle(program, _CLUSTER, 4, check_memory=False)
 
 
 def _phases(program):
@@ -213,6 +215,9 @@ def _assert_output_close(base, out, *, rel):
 @given(program=ir_programs(rich=True))
 def test_every_pass_preserves_scalar_output(program):
     base = _run(program)
+    assert_matches_oracle(
+        AnalyticBackend().run(program, _CLUSTER, 4, check_memory=False),
+        base)
     folded = _run(fold_constants(program))
     assert folded.phase_seconds == base.phase_seconds  # fold is exact
     assert folded.elapsed == base.elapsed

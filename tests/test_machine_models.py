@@ -5,9 +5,9 @@ Three contracts:
 * the default :class:`RooflineModel` reproduces the historical inline
   analytic arithmetic **bit-for-bit** (the committed EXPERIMENTS.md
   figures must not move under the refactor);
-* the :class:`ECMModel` is priced identically by the scalar and the
-  batched backend, and never prices below the roofline (it only adds a
-  non-negative hierarchy term to the memory arm);
+* the :class:`ECMModel` is priced identically by the scalar oracle
+  (``tests/oracles.py``) and the tape engine, and never prices below the
+  roofline (it only adds a non-negative hierarchy term to the memory arm);
 * preset and pricing registries drive name resolution everywhere —
   aliases, error listings, cache keys, certificates.
 """
@@ -52,6 +52,7 @@ from repro.simmpi.mapping import RankMapping
 from repro.toolchain.kernels import KernelClass
 from repro.util.errors import ConfigurationError
 
+from tests.oracles import analytic_oracle
 from tests.strategies import ir_programs
 
 
@@ -236,8 +237,8 @@ class TestECM:
     @given(program=ir_programs(rich=True))
     def test_batch_matches_scalar_bit_exact(self, program):
         cluster = cte_arm(16)
-        scalar = AnalyticBackend().run(program, cluster, 4,
-                                       check_memory=False, pricing="ecm")
+        scalar = analytic_oracle(program, cluster, 4, check_memory=False,
+                                 pricing="ecm")
         batched = BatchAnalyticBackend().run(program, cluster, 4,
                                              check_memory=False,
                                              pricing="ecm")

@@ -125,6 +125,8 @@ class TestQueryValidation:
         {"workload": "nemo", "overrides": {"bogus": 2.0}},
         {"workload": "nemo", "overrides": {"comm_scale": "x"}},
         {"workload": "nemo", "overrides": {"comm_scale": 0.0}},
+        {"workload": "nemo", "n_nodes": 8,
+         "overrides": {"compute_scale": float("inf")}},
         {"workload": "nemo", "client": ""},
         {"workload": "nemo", "surprise": 1},
     ])
