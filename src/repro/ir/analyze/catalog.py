@@ -7,6 +7,7 @@ sweep exactly the same matrix the figures are produced from.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 from repro.ir.program import Program
@@ -28,8 +29,18 @@ class AnalysisTarget:
     n_nodes: int
 
 
+#: serializes the first import of :mod:`repro.bench` (this module cannot
+#: import it at load time: the bench package imports ``repro.ir``).  Two
+#: threads importing the package and one of its submodules at once — the
+#: capacity service builds targets on request threads — trip the
+#: import-lock deadlock detector.
+_BENCH_IMPORT = threading.Lock()
+
+
 def _bench_target(name: str, cluster: ClusterModel,
                   n_nodes: int) -> AnalysisTarget:
+    with _BENCH_IMPORT:
+        import repro.bench  # noqa: F401
     if name == "stream":
         from repro.bench.stream_bench import ir_program
 

@@ -1,8 +1,7 @@
 """Lower an IR program to a real simmpi rank program.
 
 This is the single place where abstract :class:`~repro.ir.ops.CommOp`
-patterns become concrete message exchanges — the logic that used to live,
-duplicated, in ``repro.apps.des_runner``.
+patterns become concrete message exchanges.
 
 Lowering rules
 --------------
@@ -29,8 +28,8 @@ Lowering rules
 :func:`flatten_phases` (shared with :mod:`repro.ir.analyze.trace`); each
 rank program is one loop over it, with no per-loop or per-phase frames.
 
-Process-grid rule (the ``des_runner._grid_neighbors`` fix)
-----------------------------------------------------------
+Process-grid rule
+-----------------
 
 ``halo`` ops with ``neighbors <= 2`` lower to a 1-D chain, ``<= 4`` to a
 2-D grid, anything larger to a 3-D grid.  :func:`grid_dims` picks the

@@ -286,6 +286,48 @@ def test_certificates_on_bundled_programs():
         assert cert.ok, (t.name, cert.mismatches)
 
 
+_CONCURRENT_TARGETS = """
+import sys, threading
+sys.setswitchinterval(1e-6)
+from repro.ir.analyze.catalog import BENCH_NAMES, target
+from repro.machine import cte_arm
+cluster = cte_arm(8)
+barrier = threading.Barrier(2 * len(BENCH_NAMES))
+errors = []
+def build(name):
+    barrier.wait()
+    try:
+        target(name, cluster, 2)
+    except Exception as exc:
+        errors.append(repr(exc))
+threads = [threading.Thread(target=build, args=(name,))
+           for name in 2 * BENCH_NAMES]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(30)
+assert not any(t.is_alive() for t in threads), "thread hung"
+assert not errors, errors[0]
+"""
+
+
+def test_concurrent_first_bench_targets_do_not_deadlock():
+    """Request threads that build bench targets while ``repro.bench`` is
+    first imported must not trip the import-lock deadlock detector (each
+    run is a fresh interpreter, where the package is not yet imported)."""
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for _ in range(3):
+        proc = subprocess.run([sys.executable, "-c", _CONCURRENT_TARGETS],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 def test_broken_pass_is_caught():
     before = _coll_program(
         ComputeOp(seconds=1e-3),
