@@ -8,9 +8,6 @@ Covers the layers the perf work targets:
 * the IR optimizer passes (op-count shrink and wall cost);
 * the full figure/table experiment suite — serial, with ``--jobs N``
   worker processes, and a cached re-run through the on-disk result cache;
-* the auto-tuner over the million-point NEMO knob space vs a naive
-  chunk-serial ``run_batch`` loop (points/second each, >=10x asserted
-  in full mode);
 * the capacity-planning service under seeded open-loop traffic — latency
   percentiles, throughput, the saturation sweep, and the bit-exactness
   audit (also written standalone as ``BENCH_service.json``).
@@ -376,94 +373,6 @@ def bench_thunderx2_figure(quick: bool) -> dict:
     }
 
 
-def bench_tune_million(quick: bool) -> dict:
-    """The auto-tuner over the full NEMO/CTE-ARM knob space vs a naive
-    chunk-serial ``run_batch`` loop over scalar-override jobs.
-
-    Full mode prices the >=1M-point space (scenarios=16 gives
-    180 templates x 2 pricing models x 3 flags x 4 page policies x
-    16x16 scenario jitter = 1,105,920 points) end to end through
-    ``tune()``.  The naive arm rebuilds what a user without the column
-    path would write: decode a sample of the same points into
-    per-point ``BatchJob`` overrides and price them chunk-serially
-    with caches dropped, then compare points/second.  Full mode
-    asserts the >=1M scale and the >=10x speedup; quick mode shrinks
-    to scenarios=2 and skips the asserts.
-    """
-    from repro.apps import get_app
-    from repro.ir.batch import BatchJob, clear_caches, shared_batch_backend
-    from repro.tune import TuneSpec, build_space, tune
-    from repro.tune.engine import decode_point
-    from repro.verify.runner import resolve_cluster
-
-    scenarios = 2 if quick else 16
-    spec = TuneSpec(app="nemo", cluster="cte-arm", n_nodes=16,
-                    scenarios=scenarios)
-    clear_caches()
-    t0 = time.perf_counter()
-    result = tune(spec, workers=0)
-    tuned_wall = time.perf_counter() - t0
-    tuned_pps = result.n_points / tuned_wall
-
-    # the naive arm: the same points as individual scalar-override jobs,
-    # priced chunk-serially.  Sampled (the full space would take minutes)
-    # and extrapolated via points/second.
-    cluster = resolve_cluster("cte-arm", 16)
-    space = build_space("nemo", cluster, 16, scenarios=scenarios)
-    app = get_app("nemo")
-    flag_rate = {f.name: f.rate_scale for f in space.flags}
-    policy_index = {p.value: i for i, p in enumerate(space.policies)}
-    programs: dict = {}
-    sample_target = 2_000 if quick else 20_000
-    stride = max(1, space.n_points // sample_target)
-    jobs = []
-    for point_id in range(0, space.n_points, stride):
-        info = decode_point(space, point_id)
-        template = space.templates[info["template_index"]]
-        if template.index not in programs:
-            programs[template.index] = app.program(template.mapping)
-        page = template.page_factors[policy_index[info["page_policy"]]]
-        jobs.append(BatchJob(
-            programs[template.index], cluster, 16,
-            mapping=template.mapping, binary=template.binary,
-            check_memory=False, pricing=info["pricing"],
-            overrides={
-                "rate_scale": flag_rate[info["flags"]],
-                "comm_scale": info["comm_scale"],
-                "bandwidth_scale": page * info["bandwidth_jitter"],
-            }))
-    backend = shared_batch_backend()
-    clear_caches()
-    t0 = time.perf_counter()
-    for lo in range(0, len(jobs), 1024):
-        backend.run_batch(jobs[lo:lo + 1024])
-    naive_wall = time.perf_counter() - t0
-    naive_pps = len(jobs) / naive_wall
-    speedup = tuned_pps / naive_pps
-    if not quick:
-        assert result.n_points >= 1_000_000, \
-            "full tune space must cover at least one million points"
-        assert speedup >= 10.0, \
-            f"tuner must beat chunk-serial run_batch 10x (got {speedup:.1f}x)"
-    best = result.best_time
-    return {
-        "app": "nemo",
-        "cluster": "cte-arm",
-        "scenarios": scenarios,
-        "points": result.n_points,
-        "tune_wall_seconds": tuned_wall,
-        "tune_points_per_second": tuned_pps,
-        "naive_sampled_points": len(jobs),
-        "naive_wall_seconds": naive_wall,
-        "naive_points_per_second": naive_pps,
-        "speedup": speedup,
-        "frontier_sizes": {name: len(points)
-                           for name, points in result.frontiers.items()},
-        "best_time_config": best.config,
-        "best_time_seconds": best.time_s,
-    }
-
-
 def bench_service_loadtest(quick: bool, out_dir: Path) -> dict:
     """The capacity-planning service under seeded open-loop traffic
     (docs/SERVICE.md): latency percentiles, throughput, the quota-free
@@ -502,7 +411,6 @@ def main(argv: list[str] | None = None) -> int:
         "des_sharded": bench_des_sharded(args.quick),
         "ecm_pricing": bench_ecm_pricing(args.quick),
         "thunderx2_figure": bench_thunderx2_figure(args.quick),
-        "tune_million_points": bench_tune_million(args.quick),
         "figure_suite": bench_figure_suite(args.jobs),
         "service_loadtest": bench_service_loadtest(args.quick, out.parent),
     }
@@ -544,12 +452,6 @@ def main(argv: list[str] | None = None) -> int:
     tx2 = report["thunderx2_figure"]
     print(f"ThunderX2:    energy figure {tx2['wall_seconds']:.3f}s, "
           f"expectations {'hold' if tx2['all_hold'] else 'FAIL'}")
-    tun = report["tune_million_points"]
-    print(f"tune:         {tun['points']:,} points in "
-          f"{tun['tune_wall_seconds']:.2f}s "
-          f"({tun['tune_points_per_second']:,.0f} pts/s, "
-          f"{tun['speedup']:.1f}x over chunk-serial run_batch at "
-          f"{tun['naive_points_per_second']:,.0f} pts/s)")
     print(f"figure suite: serial {suite['serial_seconds']:.2f}s, "
           f"--jobs {suite['jobs']} {suite['parallel_seconds']:.2f}s "
           f"({suite['parallel_speedup']:.2f}x on {suite['cpu_count']} cpu), "

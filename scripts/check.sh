@@ -376,7 +376,8 @@ EOF
 """Price 50k override points through run_override_columns (the streaming
 column path the tuner rides) and through plain run_batch on a scalar-job
 sample of the same points, asserting bit-identity lane by lane — the
-ISSUE 10 tentpole guarantee at smoke scale."""
+ISSUE 10 tentpole guarantee at smoke scale.  A second arm does the same
+for a 57,600-point broadcast grid with three stacked jobs."""
 import numpy as np
 from repro.apps import get_app
 from repro.ir.batch import BatchJob, clear_caches, shared_batch_backend
@@ -409,6 +410,44 @@ scalar = backend.run_batch(jobs)
 for i, result in zip(sample, scalar):
     assert elapsed[i] == result.elapsed, (i, elapsed[i], result.elapsed)
 print(f"streaming OK: {n:,} points, {len(jobs)} scalar probes bit-identical")
+
+# second arm: a broadcast grid (the tuner's shape) with three stacked
+# jobs on the last axis, each knob spanning only its own axes
+stacked = []
+for nodes in (8, 16, 32):
+    m = app.mapping(cluster, nodes)
+    stacked.append(BatchJob(app.program(m), cluster, nodes, mapping=m,
+                            binary=binary, check_memory=False))
+rates = np.linspace(0.85, 1.1, 8)
+comms = np.linspace(0.8, 1.2, 40)
+bws = np.linspace(0.6, 1.4, 60 * 3).reshape(60, 3)
+grid_cols = {"rate_scale": rates[:, None, None, None],
+             "comm_scale": comms[None, :, None, None],
+             "bandwidth_scale": bws[None, None, :, :]}
+shape = (8, 40, 60, 3)
+clear_caches()
+elapsed = np.concatenate([
+    chunk.elapsed.ravel() for chunk in backend.run_override_columns(
+        stacked, grid_cols, memory_budget_bytes=1 << 22)
+])
+n = int(np.prod(shape))
+assert n >= 50_000 and elapsed.shape == (n,)
+sample = range(0, n, n // 199)
+probes = []
+for i in sample:
+    f, c, b, j = np.unravel_index(i, shape)
+    job = stacked[j]
+    probes.append(BatchJob(job.program, cluster, job.n_nodes,
+                           mapping=job.mapping, binary=binary,
+                           check_memory=False,
+                           overrides={"rate_scale": float(rates[f]),
+                                      "comm_scale": float(comms[c]),
+                                      "bandwidth_scale": float(bws[b, j])}))
+clear_caches()
+for i, result in zip(sample, backend.run_batch(probes)):
+    assert elapsed[i] == result.elapsed, (i, elapsed[i], result.elapsed)
+print(f"grid streaming OK: {n:,} points over {len(stacked)} stacked jobs, "
+      f"{len(probes)} scalar probes bit-identical")
 EOF
     then
         status=1

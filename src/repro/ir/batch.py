@@ -16,11 +16,12 @@ work into a **compile** step and an **evaluate** step:
   costs, the tape columns) are Python scalars when the group has one
   context and stacked ``(n,)`` vectors otherwise; override
   knobs broadcast against them.  ``run_batch`` prices each structure
-  group with it, and :meth:`BatchAnalyticBackend.run_override_columns` is
-  its one-context case with lane-vector knobs.  Because every caller runs
-  the same expressions in the same order, a stacked lane, a one-job run
-  and a column lane agree bit for bit; ``tests/oracles.py`` holds the
-  historical per-op scalar walk as the independent differential oracle.
+  group with it, and :meth:`BatchAnalyticBackend.run_override_columns`
+  runs it with knob arrays that broadcast to a grid.  Because every
+  caller runs the same expressions in the same order, a stacked lane, a
+  one-job run and a grid point agree bit for bit; ``tests/oracles.py``
+  holds the historical per-op scalar walk as the independent
+  differential oracle.
 
 The arithmetic per phase occurrence is the roofline
 ``max(flops / aggregate_rate, data_seconds) * imbalance`` for modeled
@@ -48,9 +49,10 @@ Two streaming entry points sit on top of ``run_batch``:
   workers.  Results arrive in canonical input order and are bit-identical
   to ``run_batch`` for any chunk size and worker count.
 * :meth:`BatchAnalyticBackend.run_override_columns` — the tuner's fast
-  path: one prepared job plus structure-of-arrays override columns,
-  priced without materializing ``(n_points, n_rows)`` matrices; each
-  yielded :class:`ColumnChunk` carries per-point elapsed/phase arrays.
+  path: prepared jobs of one structure group (stacked on the last axis)
+  plus override columns that broadcast to one grid, priced without
+  materializing ``(n_points, n_rows)`` matrices; each yielded
+  :class:`ColumnChunk` carries per-point elapsed/phase arrays.
 """
 
 from __future__ import annotations
@@ -475,12 +477,17 @@ class BatchJob:
 class ColumnChunk:
     """Per-point results of one column-stream chunk.
 
-    ``start`` is the chunk's offset in the caller's point space; all
-    arrays are float64 of the chunk length.  The per-phase dicts mirror
-    :class:`~repro.ir.backend.RunResult`'s accounting (seconds, compute,
-    comm, flops-time, bytes-time), so a lane of a ColumnChunk carries the
-    same numbers ``run_batch`` would return for the equivalent scalar
-    ``overrides`` job.
+    A chunk is a C-order contiguous block of the override grid: every
+    array has the chunk's sub-grid shape (a run of one axis, the later
+    axes whole), ``len(chunk)`` is its point count and ``start`` the
+    flat C-order offset of its first point, so ``arr.ravel()`` covers
+    points ``[start, start + len(chunk))``.  The arrays are read-only
+    broadcast views: a term constant along an axis is stored once.  The
+    per-phase dicts mirror :class:`~repro.ir.backend.RunResult`'s
+    accounting (seconds, compute, comm, flops-time, bytes-time), so a
+    point of a ColumnChunk carries the same numbers ``run_batch`` would
+    return for the equivalent scalar ``overrides`` job.  ``n_ranks`` is
+    the rank count of the chunk's first job.
     """
 
     start: int
@@ -493,7 +500,7 @@ class ColumnChunk:
     phase_bytes_time: dict[str, np.ndarray]
 
     def __len__(self) -> int:
-        return int(self.elapsed.shape[0])
+        return int(self.elapsed.size)
 
 
 # -- process-local caches -----------------------------------------------------
@@ -767,67 +774,105 @@ class BatchAnalyticBackend(Backend):
 
     def run_override_columns(
         self,
-        job: BatchJob,
+        job: "BatchJob | Sequence[BatchJob]",
         columns: "dict[str, Any]",
         *,
         chunk_points: int | None = None,
         memory_budget_bytes: int | None = None,
     ) -> "Iterator[ColumnChunk]":
-        """Price one prepared job against structure-of-arrays override
+        """Price prepared jobs against a broadcast grid of override
         columns — the tuner's fast path.
 
-        ``columns`` maps :data:`OVERRIDE_KEYS` names to equal-length 1-D
-        float arrays; point ``i`` is ``job`` evaluated under scalar
-        overrides ``{k: columns[k][i]}``.  This is :func:`_walk`'s
-        one-context case: the tape constants (collective costs, kernel
-        rates) are resolved once as scalars and broadcast against
-        the override vectors — no ``(points, n_rows)`` stacking, no
-        per-point ``_prepare`` — so each lane is bit-identical to the
-        equivalent scalar-overrides ``run_batch`` job.
+        ``columns`` maps :data:`OVERRIDE_KEYS` names to float arrays of
+        at least one axis that broadcast to one grid.  ``job`` is one
+        :class:`BatchJob`, or a sequence of jobs from one structure group
+        (equal tape structure and pricing model) stacked on the grid's
+        last axis, the *job axis*.  Grid point ``idx`` is the job
+        (``jobs[idx[-1]]`` when stacked) evaluated under scalar overrides
+        ``{k: columns[k][idx]}`` (broadcast).  Equal-length 1-D columns
+        with one job are the plain lane case: point ``i`` takes
+        ``columns[k][i]``.
+
+        This is :func:`_walk` with knob arrays: per-context constants
+        (collective costs, kernel rates) are scalars, or ``(n,)`` vectors
+        on the job axis, and each row's term is computed at the shape its
+        knobs broadcast to, so only the sums reach the full grid.  No
+        ``(points, n_rows)`` stacking, no per-point ``_prepare``; every
+        point is bit-identical to the equivalent scalar-overrides
+        ``run_batch`` job.
 
         Yields :class:`ColumnChunk`\\ s of at most ``chunk_points`` points
         (default: :func:`stream_chunk_points` with ``columns=True`` under
-        the budget), keeping peak allocation bounded.  ``job.overrides``
-        must be empty — the columns ARE the overrides.
+        the budget), in C order of the grid, keeping peak allocation
+        bounded.  A chunk is a run of one axis's indices with every later
+        axis whole, so any positive budget works.  ``job.overrides`` must
+        be empty — the columns ARE the overrides.
         """
-        if job.overrides:
+        jobs = [job] if isinstance(job, BatchJob) else list(job)
+        if not jobs:
+            raise ConfigurationError("need at least one job")
+        if any(j.overrides for j in jobs):
             raise ConfigurationError(
                 "run_override_columns prices the override columns; "
                 "job.overrides must be empty"
             )
         cols: dict[str, np.ndarray] = {}
         for key, values in columns.items():
-            arr = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
-            if arr.ndim != 1:
+            arr = np.asarray(values, dtype=np.float64)
+            if arr.ndim == 0:
                 raise ConfigurationError(
-                    f"override column {key!r} must be 1-D, got shape "
-                    f"{arr.shape}"
-                )
+                    f"override column {key!r} needs at least one axis")
             cols[key] = arr
         validate_overrides({key: 1.0 for key in cols})
         if not cols:
             raise ConfigurationError("need at least one override column")
-        lengths = {arr.shape[0] for arr in cols.values()}
-        if len(lengths) != 1:
+        shapes = [arr.shape for arr in cols.values()]
+        if len(jobs) > 1:
+            shapes.append((len(jobs),))
+        try:
+            grid = np.broadcast_shapes(*shapes)
+        except ValueError:
             raise ConfigurationError(
-                f"override columns must share one length, got "
-                f"{sorted(lengths)}"
-            )
-        n_points = lengths.pop()
-        ctx = self._prepare(job)
+                f"override columns must share one length or broadcast to "
+                f"one grid (job axis last), got shapes {shapes}"
+            ) from None
+        if 0 in grid:
+            raise ConfigurationError(f"override grid {grid} is empty")
+        ctxs = [self._prepare(j) for j in jobs]
+        group = {(c.tape.structure, c.model.identity()) for c in ctxs}
+        if len(group) > 1:
+            raise ConfigurationError(
+                "stacked jobs must share one tape structure and pricing "
+                "model")
         if chunk_points is None:
             budget = (DEFAULT_STREAM_BUDGET if memory_budget_bytes is None
                       else memory_budget_bytes)
-            chunk_points = stream_chunk_points(ctx.tape, budget,
+            chunk_points = stream_chunk_points(ctxs[0].tape, budget,
                                                columns=True)
         elif chunk_points < 1:
             raise ConfigurationError(
                 f"chunk_points must be positive, got {chunk_points}"
             )
-        for lo in range(0, n_points, chunk_points):
-            hi = min(lo + chunk_points, n_points)
-            knobs = {key: arr[lo:hi] for key, arr in cols.items()}
-            yield _column_chunk(ctx, knobs, hi - lo, lo)
+        ndim = len(grid)
+        padded = {key: arr.reshape((1,) * (ndim - arr.ndim) + arr.shape)
+                  for key, arr in cols.items()}
+        # split the first axis whose trailing block fits one chunk
+        axis, block = 0, math.prod(grid[1:])
+        while block > chunk_points:
+            axis += 1
+            block //= grid[axis]
+        step = chunk_points // block
+        stacked = len(ctxs) > 1 and axis == ndim - 1
+        start = 0
+        for head in np.ndindex(*grid[:axis]):
+            for lo in range(0, grid[axis], step):
+                hi = min(lo + step, grid[axis])
+                knobs = {key: arr[_grid_index(arr.shape, head, lo, hi)]
+                         for key, arr in padded.items()}
+                shape = (hi - lo,) + grid[axis + 1:]
+                yield _column_chunk(ctxs[lo:hi] if stacked else ctxs,
+                                    knobs, shape, start)
+                start += math.prod(shape)
 
     # -- prepare -------------------------------------------------------------
 
@@ -972,15 +1017,17 @@ def _walk(ctxs: list[_JobCtx], knobs: dict[str, Any] | None) -> tuple:
     Per-context quantities (tape columns, loop multiplicities, kernel
     rates, collective costs) come from ``per``: a Python
     scalar when the group has one context, a stacked ``(n,)`` vector
-    otherwise.  The override ``knobs`` — a scalar or a lane vector per
-    key, ``None`` to take each context's own ``overrides`` — broadcast
-    against them.  IEEE-754 elementwise arithmetic on equal inputs gives
-    equal outputs, so a lane of a stacked group, a one-context walk and a
-    column lane agree bit for bit: there is one expression order.
+    otherwise.  The override ``knobs`` — a scalar or an array per key
+    (the context axis last), ``None`` to take each context's own
+    ``overrides`` — broadcast against them, so each term has the shape
+    of the knobs it uses.  IEEE-754 elementwise arithmetic on equal
+    inputs gives equal outputs, so a lane of a stacked group, a
+    one-context walk and a grid point agree bit for bit: there is one
+    expression order.
 
     Returns ``(elapsed, phases)``: ``phases[i]`` holds the (seconds,
     compute, comm, flops-time, bytes-time) accumulators of phase name
-    ``i``; every value is a scalar or a lane vector.
+    ``i``; every value is a scalar or an array.
     """
     tape = ctxs[0].tape
     model = ctxs[0].model
@@ -1124,20 +1171,32 @@ def _group_payloads(ctxs: list[_JobCtx]) -> list[tuple]:
     ]
 
 
-def _column_chunk(ctx: _JobCtx, knobs: dict[str, np.ndarray], k: int,
-                  start: int) -> ColumnChunk:
-    """Price ``k`` override points of ONE prepared job context."""
+def _grid_index(shape: tuple[int, ...], head: tuple[int, ...], lo: int,
+                hi: int) -> tuple:
+    """Basic index of one chunk into a column padded to the grid's rank:
+    ``head`` fixes the leading axes, ``[lo, hi)`` slices the next one,
+    later axes stay whole.  A size-1 (broadcast) axis is kept as is, so
+    the slice is a view at the column's own shape."""
+    axis = len(head)
+    index: list[Any] = [i if shape[d] > 1 else 0
+                        for d, i in enumerate(head)]
+    index.append(slice(lo, hi) if shape[axis] > 1 else slice(None))
+    return tuple(index)
+
+
+def _column_chunk(ctxs: list[_JobCtx], knobs: dict[str, np.ndarray],
+                  shape: tuple[int, ...], start: int) -> ColumnChunk:
+    """Price one chunk of the override grid: ``knobs`` broadcast to
+    ``shape``, with ``ctxs`` on its last axis when stacked."""
 
     def lane(x: Any) -> np.ndarray:
-        if np.ndim(x) == 0:
-            return np.full(k, float(x))
-        return np.asarray(x, dtype=np.float64)
+        return np.broadcast_to(np.asarray(x, dtype=np.float64), shape)
 
-    elapsed, phases = _walk([ctx], knobs)
-    names = ctx.tape.names
+    elapsed, phases = _walk(ctxs, knobs)
+    names = ctxs[0].tape.names
     accs = [{name: lane(acc[i]) for name, acc in zip(names, phases)}
             for i in range(5)]
-    return ColumnChunk(start, ctx.mapping.n_ranks, lane(elapsed), *accs)
+    return ColumnChunk(start, ctxs[0].mapping.n_ranks, lane(elapsed), *accs)
 
 
 def _on_new_pricing_model(_model: PricingModel) -> None:

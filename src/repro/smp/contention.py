@@ -113,15 +113,20 @@ def node_stream_bandwidth(
             total += stream_bandwidth(placement, PagePolicy.FIRST_TOUCH)
         return total
     # More ranks than domains: pack ranks across domains contiguously; each
-    # rank stays within whichever domain holds its first core.
+    # rank stays within whichever domain holds its first core.  Ranks on
+    # one domain bind identically, so each domain is priced once and its
+    # float added per rank, in rank order.
     total = 0.0
     cores_per_rank = node.cores // ranks
+    take = min(threads_per_rank, cores_per_rank)
+    per_domain: dict[int, float] = {}
     for r in range(ranks):
-        first_core = r * cores_per_rank
-        domain = node.domain_of_core(first_core).index
-        take = min(threads_per_rank, cores_per_rank)
-        placement = bind_threads(node, take, domain=domain)
-        total += stream_bandwidth(placement, policy)
+        domain = node.domain_of_core(r * cores_per_rank).index
+        bw = per_domain.get(domain)
+        if bw is None:
+            placement = bind_threads(node, take, domain=domain)
+            bw = per_domain[domain] = stream_bandwidth(placement, policy)
+        total += bw
     # Domains cannot serve more than their sustainable bandwidth in total.
     cap = node.sustainable_memory_bandwidth
     return min(total, cap)

@@ -1,23 +1,33 @@
-"""The tuning engine: chunked pricing, pooling, frontier assembly.
+"""The tuning engine: one broadcast pass per placement, pooling, frontier
+assembly.
 
 The full point space is ``templates x pricing models x
-points-per-template`` (see :mod:`repro.tune.space`); each (template,
-pricing, chunk) triple is one *task*.  Tasks are priced through the
-batched IR evaluator's column fast path
-(:meth:`repro.ir.batch.BatchAnalyticBackend.run_override_columns`), so
-a task costs one warm-tape lane evaluation instead of thousands of
-``run_batch`` preparations.  Energy is derived per lane from the
-:mod:`repro.power` node model and the tape's byte totals.
+points-per-template`` (see :mod:`repro.tune.space`).  The templates of
+one placement (ranks x threads per node) share a tape structure, so each
+(placement, pricing) pair is one *task*: one call of the batched IR
+evaluator's column fast path
+(:meth:`repro.ir.batch.BatchAnalyticBackend.run_override_columns`) with
+the placement's templates stacked on the job axis and every space axis
+as its own broadcast axis of the override grid::
 
-Each task reduces to its own Pareto-frontier candidates worker-side
-(the merge property in :mod:`repro.tune.pareto` makes this exact), so
-only frontier candidates cross the process boundary — the parent's
-final pass over the merged candidates yields the global frontier.
-Chunk boundaries derive from the memory budget alone and candidates are
-collected in task order, so the result is identical for ANY worker
-count; the PR-5 cost probe (price the first task in-process, spawn a
-:class:`repro.harness.procpool.PersistentPool` only when the measured
-per-task cost times the remaining task count clears
+    flag x page policy x comm scenario x bandwidth scenario x template
+
+``rate_scale`` varies along the flag axis only, ``comm_scale`` along the
+comm axis and ``bandwidth_scale`` (page factor times bandwidth jitter)
+along the page, bandwidth and template axes, so each tape row's term is
+computed on its distinct values and only the sums reach the full grid.
+Energy is derived per point from the :mod:`repro.power` node model, the
+tape's byte total and the placement's active cores.
+
+Each task reduces its points to their Pareto-frontier candidates
+worker-side (the merge property in :mod:`repro.tune.pareto` makes this
+exact), so only frontier candidates cross the process boundary — the
+parent's final pass over the merged candidates yields the global
+frontier.  Chunk boundaries derive from the memory budget alone and
+candidates are collected in task order, so the result is identical for
+ANY worker count and budget; the PR-5 cost probe (price the first task
+in-process, spawn a :class:`repro.harness.procpool.PersistentPool` only
+when the measured per-task cost times the remaining task count clears
 :func:`repro.harness.parallel.pool_min_seconds`) keeps small tunes
 pool-free.
 """
@@ -26,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -36,7 +46,6 @@ from repro.ir.batch import (
     Tape,
     compile_tape,
     shared_batch_backend,
-    stream_chunk_points,
 )
 from repro.power.model import PowerModel, power_model_for
 from repro.tune.pareto import pareto_indices
@@ -65,7 +74,6 @@ class TuneSpec:
     scenario_spread: float = 0.15
     pricing: tuple[str, ...] = ("roofline", "ecm")
     memory_budget_bytes: int = DEFAULT_STREAM_BUDGET
-    chunk_points: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
@@ -74,9 +82,6 @@ class TuneSpec:
         if self.steps is not None and self.steps < 1:
             raise ConfigurationError(
                 f"steps must be positive, got {self.steps}")
-        if self.chunk_points is not None and self.chunk_points < 1:
-            raise ConfigurationError(
-                f"chunk_points must be positive, got {self.chunk_points}")
         if not self.pricing:
             raise ConfigurationError("need at least one pricing model")
 
@@ -87,9 +92,14 @@ def decode_point(space: TuneSpace, point_id: int) -> dict[str, Any]:
     Global ids are ``(template * n_pricing + pricing) * P + local`` with
     ``P = space.points_per_template``; the local index unpacks as
     ``flag x page-policy x comm-scenario x bandwidth-scenario`` in
-    row-major order — the same arithmetic :func:`_task_columns` uses to
-    build the override columns, so decode(encode(i)) round-trips.
+    row-major order — the leading axes of the override grid
+    :func:`_grid_columns` builds, so decode(encode(i)) round-trips.  An
+    id outside ``[0, space.n_points)`` raises
+    :class:`~repro.util.errors.ConfigurationError`.
     """
+    if not 0 <= point_id < space.n_points:
+        raise ConfigurationError(
+            f"point id {point_id} is outside [0, {space.n_points})")
     per = space.points_per_template
     tp, local = divmod(point_id, per)
     t_idx, p_idx = divmod(tp, len(space.pricing))
@@ -115,25 +125,20 @@ def decode_point(space: TuneSpace, point_id: int) -> dict[str, Any]:
     }
 
 
-def _task_columns(
-    space: TuneSpace, template: ConfigTemplate, lo: int, hi: int
+def _grid_columns(
+    space: TuneSpace, templates: list[ConfigTemplate]
 ) -> dict[str, np.ndarray]:
-    """Override columns for local points ``[lo, hi)`` of one template."""
-    n_pages = len(space.policies)
-    n_bw = len(space.bandwidth_grid)
-    s2 = len(space.comm_grid) * n_bw
-    idx = np.arange(lo, hi)
-    flag_i = idx // (n_pages * s2)
-    page_i = (idx // s2) % n_pages
-    sc = idx % s2
+    """Override columns of one placement's grid, axes ``(flag, page,
+    comm, bandwidth, template)``; each knob spans only its own axes."""
     rates = np.asarray([f.rate_scale for f in space.flags])
-    pages = np.asarray(template.page_factors)
     comms = np.asarray(space.comm_grid)
+    pages = np.asarray([t.page_factors for t in templates]).T
     bws = np.asarray(space.bandwidth_grid)
     return {
-        "rate_scale": rates[flag_i],
-        "comm_scale": comms[sc // n_bw],
-        "bandwidth_scale": pages[page_i] * bws[sc % n_bw],
+        "rate_scale": rates[:, None, None, None, None],
+        "comm_scale": comms[None, None, :, None, None],
+        "bandwidth_scale": (pages[None, :, None, None, :]
+                            * bws[None, None, None, :, None]),
     }
 
 
@@ -148,7 +153,7 @@ def _energy(
     elapsed: np.ndarray, *, bytes_total: float, steps: int, n_nodes: int,
     active_cores: int, power: PowerModel,
 ) -> np.ndarray:
-    """Vectorized :func:`repro.power.app_energy` accounting per lane."""
+    """Vectorized :func:`repro.power.app_energy` accounting per point."""
     tts = elapsed * steps
     mem_gbs = (bytes_total / elapsed) / n_nodes / 1e9
     node_w = (power.idle_w + active_cores * power.core_active_w
@@ -177,70 +182,63 @@ class _TuneState:
                       else spec.steps)
         self.power = power_model_for(self.cluster)
         self.backend = shared_batch_backend()
-        self._bytes: dict[int, float] = {}
+        # template indices per placement, in first-appearance order
+        groups: dict[tuple[int, int], list[int]] = {}
+        for t in self.space.templates:
+            key = (t.ranks_per_node, t.threads_per_rank)
+            groups.setdefault(key, []).append(t.index)
+        self.placements = tuple(groups.values())
 
-    def chunk_points(self) -> int:
-        """Uniform chunk size: explicit, else budget-derived from the
-        first template's tape (chunking must not depend on workers)."""
-        per = self.space.points_per_template
-        if self.spec.chunk_points is not None:
-            return min(self.spec.chunk_points, per)
-        template = self.space.templates[0]
-        tape = compile_tape(self.app.program(template.mapping))
-        derived = stream_chunk_points(
-            tape, self.spec.memory_budget_bytes, columns=True)
-        return min(derived, per)
-
-    def tasks(self) -> list[tuple[int, int, int, int]]:
-        """All (template, pricing, lo, hi) work units, canonical order."""
-        per = self.space.points_per_template
-        chunk = self.chunk_points()
-        out: list[tuple[int, int, int, int]] = []
-        for t_idx in range(len(self.space.templates)):
-            for p_idx in range(len(self.space.pricing)):
-                for lo in range(0, per, chunk):
-                    out.append((t_idx, p_idx, lo, min(lo + chunk, per)))
-        return out
+    def tasks(self) -> list[tuple[int, int]]:
+        """All (placement, pricing) work units, canonical order."""
+        return [(g, p) for g in range(len(self.placements))
+                for p in range(len(self.space.pricing))]
 
     def price_task(
-        self, task: tuple[int, int, int, int]
+        self, task: tuple[int, int]
     ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """Price one task, reduce to its Pareto candidates.
+        """Price one placement under one pricing model, reduce each
+        chunk to its Pareto candidates.
 
         Returns ``(points_priced, candidate_ids, times, energies)`` with
         global point ids.
         """
-        t_idx, p_idx, lo, hi = task
+        g_idx, p_idx = task
         space = self.space
-        template = space.templates[t_idx]
-        program = self.app.program(template.mapping)
-        job = BatchJob(
-            program, self.cluster, self.spec.n_nodes,
-            mapping=template.mapping, binary=template.binary,
-            check_memory=False, pricing=space.pricing[p_idx],
-        )
-        if t_idx not in self._bytes:
-            self._bytes[t_idx] = _tape_bytes(compile_tape(program))
-        columns = _task_columns(space, template, lo, hi)
-        parts = [
-            chunk.elapsed
-            for chunk in self.backend.run_override_columns(
-                job, columns,
-                memory_budget_bytes=self.spec.memory_budget_bytes)
+        members = self.placements[g_idx]
+        templates = [space.templates[t] for t in members]
+        # the templates of a placement share one mapping value, so one
+        # program, byte total and active core count serve them all
+        mapping = templates[0].mapping
+        program = self.app.program(mapping)
+        jobs = [
+            BatchJob(program, self.cluster, self.spec.n_nodes,
+                     mapping=t.mapping, binary=t.binary,
+                     check_memory=False, pricing=space.pricing[p_idx])
+            for t in templates
         ]
-        elapsed = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        times = elapsed * self.steps
-        energies = _energy(
-            elapsed, bytes_total=self._bytes[t_idx], steps=self.steps,
-            n_nodes=self.spec.n_nodes,
-            active_cores=(template.ranks_per_node
-                          * template.threads_per_rank),
-            power=self.power,
-        )
-        front = pareto_indices(times, energies)
-        base = (t_idx * len(space.pricing) + p_idx) * space.points_per_template
-        ids = front + lo + base
-        return hi - lo, ids, times[front], energies[front]
+        n = len(jobs)
+        bytes_total = _tape_bytes(compile_tape(program))
+        active_cores = mapping.ranks_per_node * mapping.threads_per_rank
+        base = ((np.asarray(members) * len(space.pricing) + p_idx)
+                * space.points_per_template)
+        n_priced = 0
+        cand: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for chunk in self.backend.run_override_columns(
+                jobs, _grid_columns(space, templates),
+                memory_budget_bytes=self.spec.memory_budget_bytes):
+            times = (chunk.elapsed * self.steps).ravel()
+            energies = _energy(
+                chunk.elapsed, bytes_total=bytes_total, steps=self.steps,
+                n_nodes=self.spec.n_nodes, active_cores=active_cores,
+                power=self.power,
+            ).ravel()
+            front = pareto_indices(times, energies)
+            local, job = np.divmod(front + chunk.start, n)
+            cand.append((base[job] + local, times[front], energies[front]))
+            n_priced += len(chunk)
+        ids, times, energies = (np.concatenate(parts) for parts in zip(*cand))
+        return n_priced, ids, times, energies
 
 
 class _TuneWorker:
@@ -250,7 +248,7 @@ class _TuneWorker:
         self._state = _TuneState(spec)
 
     def handle(
-        self, task: tuple[int, int, int, int]
+        self, task: tuple[int, int]
     ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
         return self._state.price_task(task)
 

@@ -2,11 +2,13 @@
 
 A *template* is everything that changes the compiled tape or its
 prepared constants: (compiler profile, vectorization mode, ranks per
-node, threads per rank).  Each template is priced once per pricing
-model; the remaining axes — optimization flags, page policy, and the
-robustness-scenario grid — only scale existing tape quantities, so they
-become :data:`repro.ir.batch.OVERRIDE_KEYS` columns and ride the
-vectorized lane path instead of multiplying tape compiles:
+node, threads per rank).  The templates of one placement share a tape
+structure, so the engine prices them together, stacked on the last axis
+of one override grid per pricing model.  The remaining axes —
+optimization flags, page policy, and the robustness-scenario grid —
+only scale existing tape quantities, so they become
+:data:`repro.ir.batch.OVERRIDE_KEYS` columns, each its own broadcast
+axis of that grid, instead of multiplying tape compiles:
 
 * ``rate_scale``   <- flag choice (compute-rate factor per flag set);
 * ``bandwidth_scale`` <- page-policy bandwidth factor (the measured

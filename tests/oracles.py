@@ -19,6 +19,11 @@ re-implementation the engine is checked against bit for bit:
 expression order.  Multiplying or dividing by exactly 1.0 is an IEEE-754
 identity, so applying every knob unconditionally is bit-identical to the
 engine's skip of identity knobs.
+
+:func:`tune_oracle` is the tuner's historical per-template path (one 1-D
+column pass and one Pareto reduction per template and pricing model),
+which the placement-grid engine in :mod:`repro.tune.engine` must equal
+bit for bit.
 """
 
 from __future__ import annotations
@@ -199,3 +204,88 @@ def assert_matches_oracle(got, want) -> None:
     assert got.phase_comm == want.phase_comm
     assert got.phase_flops_time == want.phase_flops_time
     assert got.phase_bytes_time == want.phase_bytes_time
+
+
+def tune_oracle(spec) -> tuple[dict, dict]:
+    """The tuner's historical per-template path, kept as its oracle.
+
+    Every (template, pricing) pair is one ``run_override_columns`` call
+    over 1-D columns of the template's ``flag x page-policy x
+    comm-scenario x bandwidth-scenario`` points (row-major), reduced to
+    its own Pareto candidates; the frontiers are one final pass over the
+    merged candidates.  No placement stacking and no broadcast grid.
+
+    Returns ``(candidates, frontiers)``: ``candidates[t_idx, p_idx]`` and
+    ``frontiers[name]`` (``frontiers[None]``: the union over pricing
+    models) are ``(ids, times, energies)`` arrays, ids ascending.
+    """
+    import numpy as np
+
+    from repro.apps import get_app
+    from repro.ir.batch import BatchJob, compile_tape, shared_batch_backend
+    from repro.power.model import power_model_for
+    from repro.tune import build_space, pareto_indices
+    from repro.verify.runner import resolve_cluster
+
+    app = get_app(spec.app)
+    cluster = resolve_cluster(spec.cluster, spec.n_nodes)
+    space = build_space(app, cluster, spec.n_nodes,
+                        scenarios=spec.scenarios,
+                        scenario_spread=spec.scenario_spread,
+                        pricing=spec.pricing)
+    steps = app.steps_per_run if spec.steps is None else spec.steps
+    power = power_model_for(cluster)
+    backend = shared_batch_backend()
+    per = space.points_per_template
+    n_pages = len(space.policies)
+    n_bw = len(space.bandwidth_grid)
+    s2 = len(space.comm_grid) * n_bw
+    idx = np.arange(per)
+    flag_i = idx // (n_pages * s2)
+    page_i = (idx // s2) % n_pages
+    sc = idx % s2
+    rates = np.asarray([f.rate_scale for f in space.flags])
+    comms = np.asarray(space.comm_grid)
+    bws = np.asarray(space.bandwidth_grid)
+    candidates: dict = {}
+    for template in space.templates:
+        program = app.program(template.mapping)
+        tape = compile_tape(program)
+        occ_of_row = np.asarray([row[0] for row in tape.rows],
+                                dtype=np.int64)
+        bytes_total = float(np.sum(
+            tape.cols["bytes"]
+            * tape.occ_mult[occ_of_row].astype(np.float64)))
+        active_cores = template.ranks_per_node * template.threads_per_rank
+        columns = {
+            "rate_scale": rates[flag_i],
+            "comm_scale": comms[sc // n_bw],
+            "bandwidth_scale": (np.asarray(template.page_factors)[page_i]
+                                * bws[sc % n_bw]),
+        }
+        for p_idx, pricing in enumerate(space.pricing):
+            job = BatchJob(program, cluster, spec.n_nodes,
+                           mapping=template.mapping, binary=template.binary,
+                           check_memory=False, pricing=pricing)
+            elapsed = np.concatenate([
+                chunk.elapsed for chunk in backend.run_override_columns(
+                    job, columns, chunk_points=per)])
+            times = elapsed * steps
+            mem_gbs = (bytes_total / elapsed) / spec.n_nodes / 1e9
+            node_w = (power.idle_w + active_cores * power.core_active_w
+                      + mem_gbs * power.mem_w_per_gbs)
+            energies = node_w * spec.n_nodes * (elapsed * steps)
+            front = pareto_indices(times, energies)
+            base = (template.index * len(space.pricing) + p_idx) * per
+            candidates[template.index, p_idx] = (
+                front + base, times[front], energies[front])
+    frontiers: dict = {}
+    for key in (*space.pricing, None):
+        parts = [cand for (_, p_idx), cand in sorted(candidates.items())
+                 if key is None or space.pricing[p_idx] == key]
+        ids, times, energies = (np.concatenate(x) for x in zip(*parts))
+        order = np.argsort(ids, kind="stable")
+        ids, times, energies = ids[order], times[order], energies[order]
+        front = pareto_indices(times, energies)
+        frontiers[key] = (ids[front], times[front], energies[front])
+    return candidates, frontiers

@@ -9,6 +9,7 @@ breakdowns, same elapsed, same rank count.
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -128,23 +129,28 @@ _override_dicts = st.fixed_dictionaries({
 })
 
 
+_PHASE_ACCOUNTS = ("phase_seconds", "phase_compute", "phase_comm",
+                   "phase_flops_time", "phase_bytes_time")
+
+
 def _lane(chunk, j):
     """Lane ``j`` of a ColumnChunk as RunResult-shaped attributes."""
-    phases = ("phase_seconds", "phase_compute", "phase_comm",
-              "phase_flops_time", "phase_bytes_time")
     return SimpleNamespace(
         n_ranks=chunk.n_ranks, elapsed=chunk.elapsed[j],
         **{name: {k: v[j] for k, v in getattr(chunk, name).items()}
-           for name in phases})
+           for name in _PHASE_ACCOUNTS})
 
 
 @settings(max_examples=100, deadline=None)
 @given(program=ir_programs(rich=True),
        pricing=st.sampled_from(["roofline", "ecm"]),
-       overrides=st.lists(_override_dicts, min_size=2, max_size=4))
-def test_every_entry_point_matches_oracle(program, pricing, overrides):
-    """Stacked groups, one-job batches, column lanes and the ``analytic``
-    registry name all equal the scalar oracle bit for bit."""
+       overrides=st.lists(_override_dicts, min_size=2, max_size=4),
+       chunk=st.integers(min_value=1, max_value=7))
+def test_every_entry_point_matches_oracle(program, pricing, overrides,
+                                          chunk):
+    """Stacked groups, one-job batches, column lanes, broadcast grid
+    points and the ``analytic`` registry name all equal the scalar
+    oracle bit for bit."""
     backend = shared_batch_backend()
     nodes = [1, 2, 4, 8][:len(overrides)]
     want = [analytic_oracle(program, _ARM, n, check_memory=False,
@@ -178,6 +184,42 @@ def test_every_entry_point_matches_oracle(program, pricing, overrides):
         _assert_results_equal(lane, analytic_oracle(
             program, _ARM, 4, check_memory=False, pricing=pricing,
             overrides=o))
+    # a broadcast grid: 2-3 stacked jobs on the last axis, each knob
+    # spanning its own axes, chunks split across every axis
+    stacked = jobs[:3]
+    vals = {k: np.asarray([o[k] for o in overrides]) for k in _KNOBS}
+    grid_cols = {
+        "rate_scale": vals["rate_scale"][:, None, None],
+        "serial_scale": vals["serial_scale"][:, None, None],
+        "comm_scale": vals["comm_scale"][None, :2, None],
+        "bandwidth_scale": vals["bandwidth_scale"][None, :2, None],
+        "compute_scale": vals["compute_scale"][None, None, :len(stacked)],
+    }
+    chunks = list(backend.run_override_columns(
+        [BatchJob(program, _ARM, job.n_nodes, check_memory=False,
+                  pricing=pricing) for job in stacked],
+        grid_cols, chunk_points=chunk))
+    grid = (len(overrides), 2, len(stacked))
+    assert sum(len(chunk) for chunk in chunks) == math.prod(grid)
+    for chunk in chunks:
+        flat = SimpleNamespace(
+            n_ranks=chunk.n_ranks, elapsed=chunk.elapsed.ravel(),
+            **{name: {k: v.ravel() for k, v in getattr(chunk, name).items()}
+               for name in _PHASE_ACCOUNTS})
+        for i in range(len(chunk)):
+            a, b, j = np.unravel_index(chunk.start + i, grid)
+            want = analytic_oracle(
+                program, _ARM, stacked[j].n_nodes, check_memory=False,
+                pricing=pricing,
+                overrides={k: float(col[min(a, col.shape[0] - 1),
+                                        min(b, col.shape[1] - 1),
+                                        min(j, col.shape[2] - 1)])
+                           for k, col in grid_cols.items()})
+            if i == 0:  # a chunk reports its first job's rank count
+                assert chunk.n_ranks == want.n_ranks
+            got = _lane(flat, i)
+            got.n_ranks = want.n_ranks
+            _assert_results_equal(got, want)
 
 
 class TestOverrides:

@@ -6,8 +6,10 @@ The contracts under test are ISSUE 10's tentpole guarantees:
   ANY chunk size and ANY worker count;
 * ``run_override_columns`` lanes are bit-identical to the equivalent
   scalar-``overrides`` jobs, for every override key and both pricing
-  models;
-* chunk sizing honors the memory budget (monotone, bounded, positive);
+  models, on 1-D columns and on broadcast grids with stacked jobs, for
+  any chunk size;
+* chunk sizing honors the memory budget (monotone, bounded, positive),
+  and a grid pass's peak allocation stays below it;
 * override validation reports the sorted allowed-key set, and an empty
   overrides dict is digest-equivalent to ``None``;
 * ``PersistentPool.imap`` streams in input order and propagates errors.
@@ -63,6 +65,19 @@ def _nemo_jobs(n_jobs, pricing="roofline"):
         )
         for i in range(n_jobs)
     ]
+
+
+def _stacked_nemo_jobs(pricing="roofline"):
+    """One NEMO structure group: the program at 8, 16 and 32 nodes."""
+    app = get_app("nemo")
+    binary = app.build(_ARM)
+    jobs = []
+    for n in (8, 16, 32):
+        mapping = app.mapping(_ARM, n)
+        jobs.append(BatchJob(app.program(mapping), _ARM, n,
+                             mapping=mapping, binary=binary,
+                             check_memory=False, pricing=pricing))
+    return jobs
 
 
 class TestRunBatchStream:
@@ -149,6 +164,57 @@ class TestRunOverrideColumns:
                             == result.phase_bytes_time[name])
             offset += len(chunk)
 
+    @pytest.mark.parametrize("pricing", ["roofline", "ecm"])
+    def test_grid_points_match_scalar_jobs_any_chunk(self, pricing):
+        backend = shared_batch_backend()
+        jobs = _stacked_nemo_jobs(pricing)
+        rates = np.asarray([0.9, 1.0, 1.1])
+        comms = np.asarray([0.8, 1.25])
+        bws = np.asarray([[0.7, 1.0, 1.3], [1.2, 0.95, 0.6]])
+        columns = {"rate_scale": rates[:, None, None],
+                   "comm_scale": comms[None, :, None],
+                   "bandwidth_scale": bws[None, :, :]}
+        grid = (3, 2, 3)
+        want = backend.run_batch([
+            BatchJob(jobs[j].program, _ARM, jobs[j].n_nodes,
+                     mapping=jobs[j].mapping, binary=jobs[j].binary,
+                     check_memory=False, pricing=pricing,
+                     overrides={"rate_scale": rates[f],
+                                "comm_scale": comms[c],
+                                "bandwidth_scale": bws[c, j]})
+            for f, c, j in np.ndindex(*grid)])
+        for chunk_points in (1, 2, 5, 6, 7, 18, 10**6):
+            clear_caches()
+            chunks = list(backend.run_override_columns(
+                jobs, columns, chunk_points=chunk_points))
+            start = 0
+            for chunk in chunks:
+                assert chunk.start == start
+                assert 1 <= len(chunk) <= chunk_points
+                start += len(chunk)
+            assert start == len(want)
+            elapsed = np.concatenate([c.elapsed.ravel() for c in chunks])
+            assert elapsed.tolist() == [r.elapsed for r in want]
+            for attr in ("phase_seconds", "phase_compute", "phase_comm",
+                         "phase_flops_time", "phase_bytes_time"):
+                for name, value in getattr(want[0], attr).items():
+                    got = np.concatenate(
+                        [getattr(c, attr)[name].ravel() for c in chunks])
+                    assert got.tolist() == [getattr(r, attr)[name]
+                                            for r in want]
+
+    def test_rejects_mixed_structure_groups(self):
+        backend = shared_batch_backend()
+        job = _nemo_jobs(1)[0]
+        base = BatchJob(job.program, _ARM, 16, mapping=job.mapping,
+                        binary=job.binary, check_memory=False)
+        ecm = BatchJob(job.program, _ARM, 16, mapping=job.mapping,
+                       binary=job.binary, check_memory=False,
+                       pricing="ecm")
+        with pytest.raises(ConfigurationError, match="one tape structure"):
+            list(backend.run_override_columns(
+                [base, ecm], {"comm_scale": np.ones(2)}))
+
     def test_all_ones_column_matches_no_overrides(self):
         backend = shared_batch_backend()
         app = get_app("nemo")
@@ -175,9 +241,19 @@ class TestRunOverrideColumns:
         base = BatchJob(jobs[0].program, _ARM, 16,
                         mapping=jobs[0].mapping, binary=jobs[0].binary,
                         check_memory=False)
-        with pytest.raises(ConfigurationError, match="1-D"):
+        with pytest.raises(ConfigurationError, match="broadcast"):
             list(backend.run_override_columns(
-                base, {"comm_scale": np.ones((2, 2))}))
+                base, {"comm_scale": np.ones((2, 2)),
+                       "rate_scale": np.ones(3)}))
+        with pytest.raises(ConfigurationError, match="at least one axis"):
+            list(backend.run_override_columns(
+                base, {"comm_scale": np.float64(2.0)}))
+        with pytest.raises(ConfigurationError, match="empty"):
+            list(backend.run_override_columns(
+                base, {"comm_scale": np.ones((3, 0))}))
+        with pytest.raises(ConfigurationError, match="broadcast"):
+            list(backend.run_override_columns(
+                [base, base], {"comm_scale": np.ones(3)}))
         with pytest.raises(ConfigurationError, match="unknown override"):
             list(backend.run_override_columns(
                 base, {"warp_factor": np.ones(2)}))
@@ -208,6 +284,40 @@ class TestChunkSizing:
         tape = compile_tape(app.program(app.mapping(_ARM, 16)))
         assert (stream_chunk_points(tape, 1 << 22, columns=True)
                 > stream_chunk_points(tape, 1 << 22))
+
+    def test_grid_pass_peak_below_budget(self):
+        """The promise of :func:`stream_chunk_points`: one grid pass of
+        stacked jobs, consumed chunk by chunk, allocates less than the
+        budget at its peak (the same grid unchunked does not fit)."""
+        import tracemalloc
+
+        backend = shared_batch_backend()
+        jobs = _stacked_nemo_jobs("ecm")
+        columns = {
+            "rate_scale": np.linspace(0.8, 1.2, 5)[:, None, None, None],
+            "comm_scale": np.linspace(0.9, 1.1, 40)[None, :, None, None],
+            "bandwidth_scale": np.linspace(0.7, 1.3, 120).reshape(
+                1, 1, 40, 3),
+        }
+        budget = 1 << 18
+
+        def peak(memory_budget_bytes):
+            list(backend.run_override_columns(
+                jobs, columns, memory_budget_bytes=memory_budget_bytes))
+            tracemalloc.start()
+            try:
+                points = sum(len(chunk) for chunk in
+                             backend.run_override_columns(
+                                 jobs, columns,
+                                 memory_budget_bytes=memory_budget_bytes))
+                return points, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        points, chunked = peak(budget)
+        assert points == 5 * 40 * 40 * 3
+        assert chunked < budget
+        assert peak(DEFAULT_STREAM_BUDGET)[1] > budget
 
     def test_rejects_nonpositive_budget(self):
         app = get_app("nemo")

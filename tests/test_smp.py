@@ -126,6 +126,55 @@ class TestStreamContention:
         bw = node_stream_bandwidth(arm.node, ranks=48, threads_per_rank=1)
         assert bw / 1e9 == pytest.approx(862.6, rel=0.05)
 
+    def test_node_bandwidth_matches_rank_loop(self, arm, mn4, monkeypatch):
+        """Pricing each domain once is bit-equal to pricing every rank,
+        for every tuner placement and page policy on both presets."""
+        from repro.smp import contention
+        from repro.tune.space import placement_grid
+
+        def rank_loop(node, ranks, tpr, policy):
+            """The per-rank loop: one stream_bandwidth call per rank."""
+            total = 0.0
+            if ranks <= len(node.domains) and tpr <= node.domains[0].cores:
+                for r in range(ranks):
+                    placement = bind_threads(node, tpr,
+                                             domain=node.domains[r].index)
+                    total += stream_bandwidth(placement,
+                                              PagePolicy.FIRST_TOUCH)
+                return total
+            cores_per_rank = node.cores // ranks
+            for r in range(ranks):
+                domain = node.domain_of_core(r * cores_per_rank).index
+                placement = bind_threads(
+                    node, min(tpr, cores_per_rank), domain=domain)
+                total += stream_bandwidth(placement, policy)
+            return min(total, node.sustainable_memory_bandwidth)
+
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except ConfigurationError as exc:
+                return str(exc)
+
+        for node in (arm.node, mn4.node):
+            for ranks, tpr in placement_grid(node.cores):
+                for policy in PagePolicy:
+                    got = outcome(
+                        lambda: node_stream_bandwidth(
+                            node, ranks=ranks, threads_per_rank=tpr,
+                            policy=policy))
+                    assert got == outcome(rank_loop, node, ranks, tpr,
+                                          policy), (ranks, tpr, policy)
+        calls = []
+        real = contention.stream_bandwidth
+        monkeypatch.setattr(contention, "stream_bandwidth",
+                            lambda *a: calls.append(1) or real(*a))
+        for policy in PagePolicy:
+            calls.clear()
+            node_stream_bandwidth(arm.node, ranks=48, threads_per_rank=1,
+                                  policy=policy)
+            assert len(calls) <= len(arm.node.domains) == 4
+
     def test_rank_shape_validation(self, arm):
         with pytest.raises(ConfigurationError):
             node_stream_bandwidth(arm.node, ranks=0, threads_per_rank=1)

@@ -25,7 +25,9 @@ from repro.tune import (
     placement_grid,
     tune,
 )
-from repro.tune.engine import decode_point
+from repro.apps import ALL_APPS
+from repro.ir.batch import DEFAULT_STREAM_BUDGET
+from repro.tune.engine import _TuneState, decode_point
 from repro.tune.space import (
     PAGE_POLICIES,
     VEC_MODES,
@@ -33,6 +35,8 @@ from repro.tune.space import (
     scenario_grid,
 )
 from repro.util.errors import ConfigurationError
+
+from .oracles import tune_oracle
 
 GOLDEN = Path(__file__).parent / "golden" / "tune_frontier.json"
 
@@ -220,6 +224,14 @@ class TestSpace:
             assert info["flags"] in {f.name for f in FLAG_CHOICES}
             assert info["pricing"] in ("roofline", "ecm")
 
+    @pytest.mark.parametrize("point_id", [-1, -10**6, "end", "past"])
+    def test_decode_point_rejects_out_of_range(self, point_id):
+        space = build_space("nemo", _ARM, 16, scenarios=1)
+        point_id = {"end": space.n_points,
+                    "past": space.n_points + 7}.get(point_id, point_id)
+        with pytest.raises(ConfigurationError, match="outside"):
+            decode_point(space, point_id)
+
     def test_page_factors_bounded(self):
         space = build_space("nemo", _ARM, 16, scenarios=1)
         for template in space.templates:
@@ -304,6 +316,39 @@ class TestEngine:
         assert serial.frontiers == pooled.frontiers
         assert serial.n_points == pooled.n_points
 
+    @pytest.mark.parametrize("budget", [1 << 12, 1 << 16,
+                                        DEFAULT_STREAM_BUDGET])
+    def test_budget_and_worker_invariance(self, budget, monkeypatch):
+        monkeypatch.setenv("REPRO_POOL_MIN_SECONDS", "0")
+        reference = tune(_small_spec(), workers=0)
+        for workers in (0, 3):
+            got = tune(_small_spec(memory_budget_bytes=budget),
+                       workers=workers)
+            assert got.used_pool == (workers > 1)
+            assert got.frontier == reference.frontier
+            assert got.frontiers == reference.frontiers
+            assert got.n_points == reference.n_points
+
+    def test_small_budget_tune_stays_under_budget(self):
+        import tracemalloc
+
+        budget = 1 << 16
+        # 3,072 points per task: unchunked, a task's pass needs ~3x budget
+        state = _TuneState(_small_spec(scenarios=8,
+                                       memory_budget_bytes=budget))
+        tasks = state.tasks()
+        state.price_task(tasks[0])  # warm tapes, networks, binaries
+        tracemalloc.start()
+        try:
+            for task in tasks[::9]:  # both pricing models, 10 placements
+                tracemalloc.reset_peak()
+                base, _ = tracemalloc.get_traced_memory()
+                state.price_task(task)
+                _, peak = tracemalloc.get_traced_memory()
+                assert peak - base < budget, (task, peak - base)
+        finally:
+            tracemalloc.stop()
+
     def test_explanations_cover_leading_points(self):
         result = tune(_small_spec(), explain_top=2)
         assert result.explanations
@@ -315,6 +360,54 @@ class TestEngine:
             tune(_small_spec(cluster="deep-thought"))
         with pytest.raises((ConfigurationError, KeyError)):
             tune(_small_spec(app="skynet"))
+
+
+def _oracle_cases():
+    """Every app x cluster pair; pricing, scenario count and spread
+    rotate so each value is covered on several apps."""
+    pricings = (("roofline", "ecm"), ("roofline",), ("ecm",))
+    cases = []
+    for i, (app, cluster) in enumerate(
+            (a, c) for a in sorted(ALL_APPS)
+            for c in ("cte-arm", "marenostrum4")):
+        cases.append(pytest.param(
+            dict(app=app, cluster=cluster, pricing=pricings[i % 3],
+                 scenarios=1 + (i // 2) % 3,
+                 scenario_spread=(0.15, 0.07)[(i // 3) % 2]),
+            id=f"{app}-{cluster}"))
+    return cases
+
+
+class TestPerTemplateOracle:
+    """The placement-grid engine equals the historical per-template
+    path (``tests/oracles.py:tune_oracle``) bit for bit: every task's
+    candidates are the Pareto merge of its templates' candidates, and
+    every frontier has the same ids, times and energies."""
+
+    @pytest.mark.parametrize("kw", _oracle_cases())
+    def test_candidates_and_frontiers_match(self, kw):
+        spec = TuneSpec(n_nodes=16, **kw)
+        want_cands, want_fronts = tune_oracle(spec)
+        state = _TuneState(spec)
+        for g_idx, p_idx in state.tasks():
+            _, ids, times, energies = state.price_task((g_idx, p_idx))
+            parts = [want_cands[t, p_idx] for t in state.placements[g_idx]]
+            o_ids, o_t, o_e = (np.concatenate(x) for x in zip(*parts))
+            keep = pareto_indices(o_t, o_e)
+            got, want = np.argsort(ids), np.argsort(o_ids[keep])
+            assert ids[got].tolist() == o_ids[keep][want].tolist()
+            assert times[got].tolist() == o_t[keep][want].tolist()
+            assert energies[got].tolist() == o_e[keep][want].tolist()
+        result = tune(spec, explain_top=0)
+        fronts = dict(result.frontiers)
+        fronts[None] = result.frontier
+        assert set(fronts) == set(want_fronts)
+        for name, points in fronts.items():
+            points = sorted(points, key=lambda p: p.point_id)
+            w_ids, w_t, w_e = want_fronts[name]
+            assert [p.point_id for p in points] == w_ids.tolist()
+            assert [p.time_s for p in points] == w_t.tolist()
+            assert [p.energy_j for p in points] == w_e.tolist()
 
 
 class TestGoldenFrontier:
