@@ -47,6 +47,13 @@ if [ "$fast" -eq 0 ]; then
     if ! PYTHONPATH=src python -m pytest -x -q $cov_args; then
         status=1
     fi
+    # perfbench drives the entry points the benchmark calls and patches
+    # (clear_caches, tape_cache_stats, compile_tape, run_experiments,
+    # tune, last_run_stats); its own tests pin that contract.
+    echo "== perfbench tests =="
+    if ! python -m pytest -q perfbench/tests; then
+        status=1
+    fi
     echo "== IR round-trip smoke =="
     if ! PYTHONPATH=src python - <<'EOF'
 from repro.apps import get_app

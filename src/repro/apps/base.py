@@ -25,7 +25,8 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 
-from repro.ir.backend import Backend, default_backend_name, get_backend
+from repro.context import current
+from repro.ir.backend import Backend, get_backend
 from repro.ir.ops import CommOp
 from repro.ir.program import Program, compile_phases
 from repro.machine.cluster import ClusterModel
@@ -41,6 +42,7 @@ from repro.util.errors import (
     OutOfMemoryError,
     ToolchainError,
 )
+from repro.util.memo import Memo
 
 __all__ = [
     "AppModel",
@@ -112,25 +114,24 @@ class AppPoint:
 
 def _resolve_backend(backend: str | Backend | None) -> Backend:
     if backend is None:
-        backend = default_backend_name()
+        backend = current().backend
     if isinstance(backend, Backend):
         return backend
     return get_backend(backend)
 
 
+#: entry bound of the sweep memo (a cold paper suite fills 12).
+SWEEP_MEMO_ENTRIES = 4096
+
 #: sweep-level result memo for the analytic (tape-engine) path.  Keyed
 #: on everything the evaluation is a pure function of: the app class and
 #: instance state, the declared model attributes, a content fingerprint
 #: of the cluster and of the binary (so vec_table what-ifs never
-#: collide), and the requested node counts.  Stored timings are copied
-#: on hit so callers can never mutate a cached entry.
-_SWEEP_MEMO: dict[tuple, dict[int, "StepTiming | None"]] = {}
-_SWEEP_MEMO_CAP = 4096
-
-
-def clear_sweep_memo() -> None:
-    """Drop the sweep-level timing memo (tests, benchmarks)."""
-    _SWEEP_MEMO.clear()
+#: collide), the run context's pricing model, and the requested node
+#: counts.  Stored timings are copied on hit so callers can never mutate
+#: a cached entry.
+_SWEEP_MEMO: Memo[dict[int, "StepTiming | None"]] = Memo(
+    "apps.sweeps", SWEEP_MEMO_ENTRIES)
 
 
 class AppModel(abc.ABC):
@@ -299,8 +300,8 @@ class AppModel(abc.ABC):
         """Run the compiled program under a named backend.
 
         Returns the backend's :class:`~repro.ir.RunResult` (DES backends
-        attach the full ``WorldResult``).  ``backend`` defaults to the
-        process-wide default (see :func:`repro.ir.set_default_backend`).
+        attach the full ``WorldResult``).  ``backend`` defaults to the run
+        context's (see :mod:`repro.context`).
         """
         engine = _resolve_backend(backend)
         self.check_feasible(cluster, n_nodes)
@@ -330,7 +331,7 @@ class AppModel(abc.ABC):
         ``work_scale`` multiplies the global problem (weak-scaling support).
         Raises OutOfMemoryError for NP configurations and ToolchainError if
         the binary cannot run.  The program is compiled with ``steps=1`` and
-        priced by ``backend`` (default: the process default, normally
+        priced by ``backend`` (default: the run context's, normally
         analytic); the analytic backend reproduces the historical roofline
         arithmetic bit-for-bit.
         """
@@ -374,8 +375,6 @@ class AppModel(abc.ABC):
             binary_fingerprint,
             cluster_fingerprint,
         )
-        from repro.machine.models import default_pricing_name
-
         engine = _resolve_backend(backend)
         if binary is None:
             binary = self.build(cluster)
@@ -391,7 +390,7 @@ class AppModel(abc.ABC):
                 self.distributed_bytes_total,
                 cluster_fingerprint(cluster),
                 binary_fingerprint(binary),
-                default_pricing_name(),
+                current().pricing,
                 tuple(n for n in nodes if n <= cluster.n_nodes),
             )
             hit = _SWEEP_MEMO.get(memo_key)
@@ -423,12 +422,10 @@ class AppModel(abc.ABC):
             ))
         for n, result in zip(feasible, engine.run_batch(jobs)):
             out[n] = _step_timing(result)
-        if len(_SWEEP_MEMO) >= _SWEEP_MEMO_CAP:
-            _SWEEP_MEMO.clear()
-        _SWEEP_MEMO[memo_key] = {
+        _SWEEP_MEMO.put(memo_key, {
             n: None if t is None else _step_timing(t)
             for n, t in out.items()
-        }
+        })
         return out
 
     def scaling(

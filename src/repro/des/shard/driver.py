@@ -147,7 +147,10 @@ class _ShardHost:
         self.plan = ShardPlan.build(
             spec.mapping, spec.n_shards, granularity=spec.granularity
         )
-        self._rank_program = lower(spec.program, spec.mapping, spec.binary)
+        # sharding is roofline-only (DESBackend refuses other models), so
+        # no host, in the driver or a worker, reads the run context
+        self._rank_program = lower(spec.program, spec.mapping, spec.binary,
+                                   pricing="roofline")
         self.shards: dict[int, ShardWorld] = {}
         for s in shard_ids:
             kwargs = copy.deepcopy(spec.world_kwargs)

@@ -31,6 +31,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+from repro.context import RunContext, current, using
 from repro.harness.experiment import run_experiment
 from repro.util.errors import ConfigurationError
 
@@ -65,28 +66,27 @@ def source_fingerprint() -> str:
     return _fingerprint
 
 
-def cache_key(exp_id: str, backend: str = "analytic",
-              pricing: str = "roofline") -> str:
+def cache_key(exp_id: str, backend: str | None = None,
+              pricing: str | None = None) -> str:
     """Cache file stem for one experiment under the current source tree.
 
-    The execution backend, the pricing model, the installed backend
-    options (DES shard count & friends —
-    ``repro.ir.backend_options_tag``), the IR optimizer pass version, and
-    the static analyzer version are part of the content hash, so a cached
-    analytic result is never served for a DES (or fastcoll) request, a
-    roofline result never for an ECM one, a 1-shard result never for an
-    8-shard one, and a pass-semantics or analyzer-behavior change
-    invalidates results even if it ships without a source diff (e.g. a
-    data-only toggle) — the pass-soundness certificate is only as good as
-    the analyzer that issued it.
+    The run context (:func:`repro.context.current`, with ``backend`` and
+    ``pricing`` replaced when given) — backend, pricing model, DES shard
+    and worker counts — the IR optimizer pass version, and the static
+    analyzer version are part of the content hash, so a cached analytic
+    result is never served for a DES (or fastcoll) request, a roofline
+    result never for an ECM one, a 1-shard result never for an 8-shard
+    one, and a pass-semantics or analyzer-behavior change invalidates
+    results even if it ships without a source diff (e.g. a data-only
+    toggle) — the pass-soundness certificate is only as good as the
+    analyzer that issued it.
     """
-    from repro.ir import backend_options_tag
     from repro.ir.analyze import ANALYZE_VERSION
     from repro.ir.optimize import PASS_VERSION
 
+    ctx = current().derive(backend=backend, pricing=pricing)
     digest = hashlib.sha256(
-        f"{exp_id}\n{backend}\npricing[{pricing}]\n"
-        f"opts[{backend_options_tag()}]\n"
+        f"{exp_id}\n{ctx.key()}\n"
         f"passes-v{PASS_VERSION}\n"
         f"analysis-v{ANALYZE_VERSION}\n"
         f"{source_fingerprint()}".encode()
@@ -116,43 +116,26 @@ def pool_min_seconds() -> float:
         ) from None
 
 
-def _run_one(exp_id: str, backend: str = "analytic",
-             pricing: str = "roofline") -> dict:
-    """Worker: run one experiment, return a JSON-safe payload."""
-    import repro.harness  # noqa: F401  (populate REGISTRY in spawned workers)
-    from repro.ir import set_default_backend
-    from repro.machine.models import set_default_pricing
-
-    set_default_backend(backend)
-    set_default_pricing(pricing)
-    result = run_experiment(exp_id)
-    return {
-        "experiment": exp_id,
-        "result": result.to_dict(),
-        "rendered": result.render(include_figure=True),
-        "rendered_no_figure": result.render(include_figure=False),
-    }
-
-
-def _run_one_text(
-    exp_id: str, backend: str, options: dict | None = None,
-    pricing: str = "roofline",
-) -> tuple[str, float]:
-    """Worker: run one experiment, returning its payload as **serialized
-    JSON** plus the wall seconds it took.
+def _run_one_text(exp_id: str, ctx: RunContext) -> tuple[str, float]:
+    """Worker: run one experiment under ``ctx``, returning its payload as
+    **serialized JSON** plus the wall seconds it took.
 
     The text crosses the process boundary exactly once and is what the
     parent writes to the cache verbatim — the old path pickled the big
     payload dict back to the parent and then re-serialized it there,
-    paying twice for large DES results.  ``options`` re-installs the
-    parent's backend options (shard counts etc.) in spawned workers.
+    paying twice for large DES results.
     """
-    from repro.ir import set_backend_options
+    import repro.harness  # noqa: F401  (populate REGISTRY in spawned workers)
 
-    if options:
-        set_backend_options(**options)
     start = time.perf_counter()
-    payload = _run_one(exp_id, backend, pricing)
+    with using(ctx):
+        result = run_experiment(exp_id)
+        payload = {
+            "experiment": exp_id,
+            "result": result.to_dict(),
+            "rendered": result.render(include_figure=True),
+            "rendered_no_figure": result.render(include_figure=False),
+        }
     return json.dumps(payload), time.perf_counter() - start
 
 
@@ -184,26 +167,21 @@ def run_experiments(
     *,
     jobs: int = 1,
     cache_dir: str | os.PathLike | None = None,
-    backend: str = "analytic",
+    backend: str | None = None,
     pricing: str | None = None,
 ) -> list[dict]:
     """Run experiments and return their payloads in input order.
 
     ``jobs`` > 1 fans uncached experiments out over that many worker
     processes.  ``cache_dir`` (or ``$REPRO_CACHE_DIR``) enables the
-    on-disk result cache; ``None`` disables caching entirely.
-    ``backend`` selects the IR execution backend every worker installs as
-    the process default before running (and is part of the cache key);
-    ``pricing`` does the same for the machine-model pricing strategy
-    (``None`` keeps the process default, normally roofline).
+    on-disk result cache; ``None`` disables caching entirely.  Every
+    experiment runs under the current :class:`~repro.context.RunContext`
+    with ``backend`` and ``pricing`` replaced when given; the context is
+    part of the cache key and is handed to each worker process.
     """
     if jobs < 1:
         raise ConfigurationError("jobs must be >= 1")
-    from repro.ir import get_backend
-    from repro.machine.models import resolve_pricing
-
-    get_backend(backend)  # validate the name before any work
-    pricing = resolve_pricing(pricing).name  # validate + canonicalize
+    ctx = current().derive(backend=backend, pricing=pricing)  # validates
     global _last_stats
     stats: list[tuple[str, float, str]] = []
     cache = resolve_cache_dir(cache_dir)
@@ -226,25 +204,13 @@ def run_experiments(
                     continue
         missing.append(exp_id)
     if missing:
-        from repro.ir import default_backend_name, set_default_backend
-        from repro.ir.backend import _BACKEND_OPTIONS
-        from repro.machine.models import default_pricing_name, set_default_pricing
-
-        options = dict(_BACKEND_OPTIONS)
         # Probe: run the first missing experiment in-process and time it.
         # Worker processes cost O(1 s) each to spawn and re-import; if the
         # measured per-task cost says the remaining work is cheaper than
         # that, a pool can only lose to serial (the old unconditional
         # fan-out ran *slower* than --jobs 1 on small suites).
-        prev = default_backend_name()
-        prev_pricing = default_pricing_name()
-        try:
-            text, wall = _run_one_text(missing[0], backend, pricing=pricing)
-            fresh = [text]
-            per_task = wall
-        finally:
-            set_default_backend(prev)
-            set_default_pricing(prev_pricing)
+        text, per_task = _run_one_text(missing[0], ctx)
+        fresh = [text]
         stats.append((missing[0], per_task, "probe"))
         rest = missing[1:]
         if (rest and jobs > 1
@@ -257,23 +223,15 @@ def run_experiments(
             chunksize = max(1, math.ceil(len(rest) / workers))
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 for exp_id, (text, wall) in zip(rest, pool.map(
-                        _run_one_text, rest, [backend] * len(rest),
-                        [options] * len(rest), [pricing] * len(rest),
+                        _run_one_text, rest, [ctx] * len(rest),
                         chunksize=chunksize)):
                     fresh.append(text)
                     stats.append((exp_id, wall, "pool"))
-        elif rest:
-            prev = default_backend_name()
-            prev_pricing = default_pricing_name()
-            try:
-                for exp_id in rest:
-                    text, wall = _run_one_text(exp_id, backend,
-                                               pricing=pricing)
-                    fresh.append(text)
-                    stats.append((exp_id, wall, "serial"))
-            finally:
-                set_default_backend(prev)
-                set_default_pricing(prev_pricing)
+        else:
+            for exp_id in rest:
+                text, wall = _run_one_text(exp_id, ctx)
+                fresh.append(text)
+                stats.append((exp_id, wall, "serial"))
         for exp_id, text in zip(missing, fresh):
             payloads[exp_id] = json.loads(text)
             if cache is not None:

@@ -49,19 +49,13 @@ from repro.ir.backend import (
     BACKENDS,
     Backend,
     RunResult,
-    backend_option,
-    backend_options_tag,
-    default_backend_name,
     get_backend,
-    set_backend_options,
-    set_default_backend,
 )
 from repro.ir.analytic import AnalyticBackend
 from repro.ir.batch import (
     BatchAnalyticBackend,
     BatchJob,
     Tape,
-    TapeCache,
     compile_tape,
     set_tape_budget,
     tape_cache_stats,
@@ -105,16 +99,10 @@ __all__ = [
     "RunResult",
     "BACKENDS",
     "get_backend",
-    "default_backend_name",
-    "set_default_backend",
-    "set_backend_options",
-    "backend_option",
-    "backend_options_tag",
     "AnalyticBackend",
     "BatchAnalyticBackend",
     "BatchJob",
     "Tape",
-    "TapeCache",
     "set_tape_budget",
     "tape_cache_stats",
     "compile_tape",

@@ -290,8 +290,8 @@ def certified_optimize(
     """Run the standard pass pipeline and certify it on this program.
 
     The pricing spec is resolved to a concrete model name BEFORE the memo
-    lookup, so changing the process default via ``set_default_pricing``
-    can never return a certificate minted under another model.
+    lookup, so running under another :class:`~repro.context.RunContext`
+    pricing model can never return a certificate minted under this one.
     """
     return _certified_optimize(program, resolve_pricing(pricing).name)
 

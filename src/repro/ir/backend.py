@@ -3,10 +3,11 @@
 Every backend consumes the same :class:`~repro.ir.program.Program` through
 ``Backend.run(program, cluster, n_nodes) -> RunResult``; what differs is
 the cost engine behind it (closed-form roofline, fastcoll-accelerated DES,
-or the fully simulated DES).  A process-wide *default backend* (normally
-``analytic``) lets high-level code — ``AppModel.time_step``, the harness
-experiment runners — be steered with ``repro-lab run --backend ...``
-without threading a parameter through every call site.
+or the fully simulated DES).  The run context's backend
+(:class:`repro.context.RunContext`, normally ``analytic``) lets high-level
+code — ``AppModel.time_step``, the harness experiment runners — be
+steered with ``repro-lab run --backend ...`` without threading a
+parameter through every call site.
 """
 
 from __future__ import annotations
@@ -31,17 +32,6 @@ if TYPE_CHECKING:
 #: (:mod:`repro.ir.analytic`, :mod:`repro.ir.batch`,
 #: :mod:`repro.ir.desbackend`).
 BACKENDS: dict[str, type["Backend"]] = {}
-
-#: name of the process-wide default backend.
-_DEFAULT_BACKEND = "analytic"
-
-#: process-wide backend tuning options (``des_shards``, ``des_workers``,
-#: ``des_granularity``, ``des_hybrid``, ...).  Like the default backend
-#: itself, these steer code that calls ``get_backend(...).run(...)``
-#: without a way to thread per-call kwargs (the harness experiment
-#: registry); they are part of the sweep cache key via
-#: :func:`backend_options_tag`.
-_BACKEND_OPTIONS: dict[str, Any] = {}
 
 
 @dataclass
@@ -158,44 +148,6 @@ def get_backend(name: str) -> Backend:
             f"{sorted(BACKENDS)}"
         ) from None
     return cls()
-
-
-def set_default_backend(name: str) -> None:
-    """Set the process-wide default backend (validates the name)."""
-    global _DEFAULT_BACKEND
-    _ensure_registered()
-    if name not in BACKENDS:
-        raise ConfigurationError(
-            f"unknown backend {name!r}; choose from {sorted(BACKENDS)}"
-        )
-    _DEFAULT_BACKEND = name
-
-
-def default_backend_name() -> str:
-    return _DEFAULT_BACKEND
-
-
-def set_backend_options(**options: Any) -> None:
-    """Install process-wide backend options; a ``None`` value clears
-    the key (so ``set_backend_options(des_shards=None)`` resets)."""
-    for key, value in options.items():
-        if value is None:
-            _BACKEND_OPTIONS.pop(key, None)
-        else:
-            _BACKEND_OPTIONS[key] = value
-
-
-def backend_option(name: str, default: Any = None) -> Any:
-    """Read one process-wide backend option."""
-    return _BACKEND_OPTIONS.get(name, default)
-
-
-def backend_options_tag() -> str:
-    """Canonical ``k=v,...`` rendering of the installed options (sorted;
-    empty string when none are set) — cache-key material."""
-    return ",".join(
-        f"{key}={_BACKEND_OPTIONS[key]}" for key in sorted(_BACKEND_OPTIONS)
-    )
 
 
 def _ensure_registered() -> None:

@@ -34,11 +34,14 @@ serial time charged once, and each comm op's
 ``bandwidth_scale`` / ``rate_scale``) are what-if knobs: multiplicative
 factors on one analytic term each.
 
-Caching layers (all process-local, cleared by :func:`clear_caches`):
-tape per Program, network per (cluster, n_nodes), binary per program
-identity, a result memo keyed by a content hash of (tape structure +
-numeric columns + cluster + mapping + binary + overrides), and a
-batch-level cache keyed by the hash of a whole (tape, point-matrix) pair.
+Caching layers: process-local memos (:class:`~repro.util.memo.Memo`),
+each bounded by a module constant, thread-safe and counted, all dropped
+by :func:`clear_caches` — tape per Program (plus an optional byte budget,
+:func:`set_tape_budget`), cluster and compiler fingerprints, network per
+(cluster, n_nodes), rank bandwidth per placement, binary per program
+identity, and a result memo keyed by a content hash of (tape structure +
+numeric columns + cluster + mapping + binary + overrides + pricing
+model).
 
 Two streaming entry points sit on top of ``run_batch``:
 
@@ -59,8 +62,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import islice
 from numbers import Real
@@ -68,6 +69,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.context import RunContext, current, using
 from repro.ir.backend import BACKENDS, Backend, RunResult
 from repro.ir.ops import Barrier, CommOp, ComputeOp, MemOp, SerialOp
 from repro.ir.program import Program
@@ -76,7 +78,6 @@ from repro.machine.models import (
     PricingContext,
     PricingModel,
     column_extractors,
-    on_pricing_registered,
     resolve_pricing,
 )
 from repro.network.collectives import CollectiveCosts
@@ -85,6 +86,7 @@ from repro.simmpi.mapping import RankMapping
 from repro.toolchain.compiler import Binary
 from repro.toolchain.profiles import default_compiler_for
 from repro.util.errors import ConfigurationError
+from repro.util.memo import Memo, clear_memos
 
 __all__ = [
     "DEFAULT_STREAM_BUDGET",
@@ -93,7 +95,6 @@ __all__ = [
     "BatchJob",
     "ColumnChunk",
     "Tape",
-    "TapeCache",
     "binary_fingerprint",
     "clear_caches",
     "cluster_fingerprint",
@@ -232,105 +233,17 @@ def _rows_by_occurrence(rows: tuple[tuple, ...],
     return tuple(tuple(r) for r in by_occ)
 
 
-class TapeCache:
-    """Warm-tape store: an LRU over compiled tapes bounded by **both** an
-    entry count and an optional resident-byte budget.
+#: warm-tape entry bound; :func:`set_tape_budget` adds a byte budget.
+TAPE_MEMO_ENTRIES = 1024
 
-    This is the serving layer's eviction seam (ISSUE 8): a long-running
-    :class:`repro.service.CapacityService` keeps tapes warm across
-    requests but must bound resident memory.  Eviction is safe by
-    construction — :func:`compile_tape` is a pure function of the
-    program, so a cold recompute is bit-identical to a warm hit (pinned
-    by ``tests/test_service.py``).  Thread-safe; the budget counts
-    :attr:`Tape.nbytes` of every resident tape.
-    """
-
-    def __init__(self, max_entries: int = 1024,
-                 budget_bytes: int | None = None) -> None:
-        self._max_entries = max_entries
-        self._budget_bytes = budget_bytes
-        self._lock = threading.Lock()
-        self._tapes: OrderedDict[Program, Tape] = OrderedDict()
-        self._resident = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, program: Program) -> Tape:
-        with self._lock:
-            tape = self._tapes.get(program)
-            if tape is not None:
-                self.hits += 1
-                self._tapes.move_to_end(program)
-                return tape
-        built = _compile_tape(program)
-        with self._lock:
-            tape = self._tapes.get(program)
-            if tape is not None:  # raced compile: keep the resident one
-                self.hits += 1
-                self._tapes.move_to_end(program)
-                return tape
-            self.misses += 1
-            self._tapes[program] = built
-            self._resident += built.nbytes
-            self._evict_over_budget()
-            return built
-
-    def _evict_over_budget(self) -> None:
-        """Drop least-recently-used tapes until within bounds (the
-        newest entry always stays so oversized tapes still serve)."""
-        while len(self._tapes) > 1 and (
-            len(self._tapes) > self._max_entries
-            or (self._budget_bytes is not None
-                and self._resident > self._budget_bytes)
-        ):
-            _, victim = self._tapes.popitem(last=False)
-            self._resident -= victim.nbytes
-            self.evictions += 1
-
-    def set_budget(self, budget_bytes: int | None) -> None:
-        """Re-size the byte budget (``None`` = unbounded) and evict down
-        to it immediately."""
-        with self._lock:
-            self._budget_bytes = budget_bytes
-            self._evict_over_budget()
-
-    @property
-    def resident_bytes(self) -> int:
-        return self._resident
-
-    @property
-    def budget_bytes(self) -> int | None:
-        return self._budget_bytes
-
-    def __len__(self) -> int:
-        return len(self._tapes)
-
-    def stats(self) -> dict[str, int | None]:
-        with self._lock:
-            return {
-                "entries": len(self._tapes),
-                "resident_bytes": self._resident,
-                "budget_bytes": self._budget_bytes,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
-
-    def clear(self) -> None:
-        with self._lock:
-            self._tapes.clear()
-            self._resident = 0
-            self.hits = self.misses = self.evictions = 0
-
-
-_TAPES = TapeCache()
+_TAPES: Memo[Tape] = Memo("batch.tapes", TAPE_MEMO_ENTRIES,
+                          sizeof=lambda tape: tape.nbytes)
 
 
 def compile_tape(program: Program) -> Tape:
-    """Flatten ``program`` into a :class:`Tape` (cached per Program in
-    the process-wide :class:`TapeCache`; see :func:`set_tape_budget`)."""
-    return _TAPES.get(program)
+    """Flatten ``program`` into a :class:`Tape` (memoized per Program
+    value; see :func:`set_tape_budget`)."""
+    return _TAPES.get_or_compute(program, lambda: _compile_tape(program))
 
 
 def set_tape_budget(budget_bytes: int | None) -> None:
@@ -340,7 +253,7 @@ def set_tape_budget(budget_bytes: int | None) -> None:
 
 
 def tape_cache_stats() -> dict[str, int | None]:
-    """Entry/byte/hit/miss/eviction counters of the warm-tape store."""
+    """Entry/byte/hit/miss/eviction counters of the warm-tape memo."""
     return _TAPES.stats()
 
 
@@ -468,8 +381,8 @@ class BatchJob:
     check_memory: bool = True
     overrides: dict[str, float] | None = None
     analyze: bool = False
-    #: pricing model name/instance (None = process default, i.e. roofline);
-    #: the resolved model's identity is folded into every cache key
+    #: pricing model name/instance (None = the run context's model); the
+    #: resolved model's identity is folded into every cache key
     pricing: str | PricingModel | None = None
 
 
@@ -503,92 +416,67 @@ class ColumnChunk:
         return int(self.elapsed.size)
 
 
-# -- process-local caches -----------------------------------------------------
+# -- process-local memos -----------------------------------------------------
 
-_CLUSTER_FP: dict[int, tuple[Any, bytes]] = {}   # id -> (strong ref, digest)
-_NETWORKS: dict[tuple[bytes, int], NetworkModel] = {}
-_RANK_BW: dict[tuple[bytes, int, int], float] = {}
-_BINARIES: dict[tuple, Binary] = {}
-_RESULT_MEMO: dict[bytes, tuple] = {}
-_BATCH_CACHE: dict[bytes, list[tuple]] = {}
-_MEMO_MAX = 65536
-_BATCH_MAX = 256
+#: entry bounds, each above the working set of a cold paper suite
+#: (54 clusters, 98 networks, 33 placements, 225 results) and a tune.
+FINGERPRINT_MEMO_ENTRIES = 512
+NETWORK_MEMO_ENTRIES = 512
+RANK_BW_MEMO_ENTRIES = 1024
+BINARY_MEMO_ENTRIES = 512
+RESULT_MEMO_ENTRIES = 65536
+
+# id -> (strong ref, digest): the strong ref keeps the id from being
+# reused while the entry is resident
+_CLUSTER_FP: Memo[tuple[Any, bytes]] = Memo(
+    "batch.cluster_fp", FINGERPRINT_MEMO_ENTRIES)
+_COMPILER_FP: Memo[tuple[Any, bytes]] = Memo(
+    "batch.compiler_fp", FINGERPRINT_MEMO_ENTRIES)
+_NETWORKS: Memo[NetworkModel] = Memo("batch.networks",
+                                     NETWORK_MEMO_ENTRIES)
+_RANK_BW: Memo[float] = Memo("batch.rank_bw", RANK_BW_MEMO_ENTRIES)
+_BINARIES: Memo[Binary] = Memo("batch.binaries", BINARY_MEMO_ENTRIES)
+_RESULT_MEMO: Memo[tuple] = Memo("batch.results", RESULT_MEMO_ENTRIES)
 
 
 def clear_caches() -> None:
-    """Drop every process-local cache (benchmarks, tests)."""
-    _CLUSTER_FP.clear()
-    _COMPILER_FP.clear()
-    _NETWORKS.clear()
-    _RANK_BW.clear()
-    _BINARIES.clear()
-    _RESULT_MEMO.clear()
-    _BATCH_CACHE.clear()
-    _TAPES.clear()
-    import sys
+    """Drop every registered process-local memo (benchmarks, tests)."""
+    clear_memos()
 
-    apps_base = sys.modules.get("repro.apps.base")
-    if apps_base is not None:  # downstream memo over batch results
-        apps_base.clear_sweep_memo()
+
+def _fingerprint(memo: Memo[tuple[Any, bytes]], obj: Any) -> bytes:
+    return memo.get_or_compute(
+        id(obj), lambda: (obj, hashlib.sha256(repr(obj).encode()).digest())
+    )[1]
 
 
 def cluster_fingerprint(cluster: ClusterModel) -> bytes:
     """Content digest of a cluster model (repr over the frozen tree),
     used in every batch cache key."""
-    hit = _CLUSTER_FP.get(id(cluster))
-    if hit is not None and hit[0] is cluster:
-        return hit[1]
-    if len(_CLUSTER_FP) > 512:
-        _CLUSTER_FP.clear()
-    fp = hashlib.sha256(repr(cluster).encode()).digest()
-    _CLUSTER_FP[id(cluster)] = (cluster, fp)
-    return fp
+    return _fingerprint(_CLUSTER_FP, cluster)
 
 
 def _network(cluster: ClusterModel, n_nodes: int) -> NetworkModel:
-    key = (cluster_fingerprint(cluster), n_nodes)
-    net = _NETWORKS.get(key)
-    if net is None:
-        net = network_for(cluster, n_nodes=n_nodes)
-        _NETWORKS[key] = net
-    return net
+    return _NETWORKS.get_or_compute(
+        (cluster_fingerprint(cluster), n_nodes),
+        lambda: network_for(cluster, n_nodes=n_nodes))
 
 
 def _rank_bw(mapping: RankMapping) -> float:
     """``mapping.rank_memory_bandwidth(0)`` — independent of n_nodes, so
-    cacheable per (cluster, ranks_per_node, threads_per_rank)."""
-    key = (cluster_fingerprint(mapping.cluster), mapping.ranks_per_node,
-           mapping.threads_per_rank)
-    hit = _RANK_BW.get(key)
-    if hit is None:
-        hit = mapping.rank_memory_bandwidth(0)
-        _RANK_BW[key] = hit
-    return hit
-
-
-_COMPILER_FP: dict[int, tuple[Any, bytes]] = {}
-
-
-def _compiler_fp(compiler: Any) -> bytes:
-    """Content digest of a compiler profile.  Labels are NOT unique —
-    what-if experiments patch vec_table on a profile keeping its label —
-    so the whole frozen-dataclass repr is hashed (id-memoized: profiles
-    are module constants or short-lived patched copies)."""
-    hit = _COMPILER_FP.get(id(compiler))
-    if hit is not None and hit[0] is compiler:
-        return hit[1]
-    if len(_COMPILER_FP) > 512:
-        _COMPILER_FP.clear()
-    fp = hashlib.sha256(repr(compiler).encode()).digest()
-    _COMPILER_FP[id(compiler)] = (compiler, fp)
-    return fp
+    memoized per (cluster, ranks_per_node, threads_per_rank)."""
+    return _RANK_BW.get_or_compute(
+        (cluster_fingerprint(mapping.cluster), mapping.ranks_per_node,
+         mapping.threads_per_rank),
+        lambda: mapping.rank_memory_bandwidth(0))
 
 
 def binary_fingerprint(binary: Binary) -> tuple:
     """Content key of a binary: application, compiler digest (labels are
-    not unique — vec_table patches keep the label), language, flags,
+    not unique — what-if experiments patch vec_table on a profile keeping
+    its label, so the whole frozen profile is hashed), language, flags,
     kernel classes."""
-    return (binary.application, _compiler_fp(binary.compiler),
+    return (binary.application, _fingerprint(_COMPILER_FP, binary.compiler),
             binary.language, binary.flags, binary.kernels)
 
 
@@ -601,14 +489,15 @@ def _resolve_binary(program: Program, cluster: ClusterModel,
         return binary
     if not needed:
         return None
-    key = (program.name, cluster_fingerprint(cluster), program.kernels,
-           program.language)
-    built = _BINARIES.get(key)
-    if built is None:
+
+    def build() -> Binary:
         compiler = default_compiler_for(program.name, cluster.name)
-        built = compiler.build(program.name, program.kernels,
-                               language=program.language)
-        _BINARIES[key] = built
+        return compiler.build(program.name, program.kernels,
+                              language=program.language)
+
+    built = _BINARIES.get_or_compute(
+        (program.name, cluster_fingerprint(cluster), program.kernels,
+         program.language), build)
     built.check_runnable()
     return built
 
@@ -695,8 +584,8 @@ class BatchAnalyticBackend(Backend):
         ``repro.harness.parallel.pool_min_seconds()`` (the PR-5 cost
         probe); unpicklable jobs (custom network objects etc.) fall back
         to in-process evaluation.  Each worker compiles a tape at most
-        once — the per-process :class:`TapeCache` is keyed by Program
-        value, so every chunk of the same program hits the warm tape.
+        once — the per-process tape memo is keyed by Program value, so
+        every chunk of the same program hits the warm tape.
         """
         if chunk_points is not None and chunk_points < 1:
             raise ConfigurationError(
@@ -767,8 +656,8 @@ class BatchAnalyticBackend(Backend):
         from repro.harness.procpool import PersistentPool
 
         n_workers = max(2, min(workers, len(window)))
-        with PersistentPool(_stream_worker_factory,
-                            [None] * n_workers) as pool:
+        with PersistentPool(_StreamChunkWorker,
+                            [current()] * n_workers) as pool:
             for results in pool.imap(chain(window, gen)):
                 yield from results
 
@@ -927,44 +816,21 @@ class BatchAnalyticBackend(Backend):
     # -- cache orchestration -------------------------------------------------
 
     def _payloads(self, ctxs: list[_JobCtx]) -> list[tuple]:
-        payloads: list[tuple | None] = [None] * len(ctxs)
-        batch_key = None
-        if len(ctxs) > 1 and all(c.digest is not None for c in ctxs):
-            h = hashlib.sha256()
-            for c in ctxs:
-                h.update(c.digest)
-            batch_key = h.digest()
-            hit = _BATCH_CACHE.get(batch_key)
-            if hit is not None:
-                return list(hit)
-        missing: list[int] = []
+        payloads: list[tuple | None] = [
+            None if ctx.digest is None else _RESULT_MEMO.get(ctx.digest)
+            for ctx in ctxs]
+        groups: dict[tuple, list[int]] = {}
         for i, ctx in enumerate(ctxs):
-            memo = (_RESULT_MEMO.get(ctx.digest)
-                    if ctx.digest is not None else None)
-            if memo is not None:
-                payloads[i] = memo
-            else:
-                missing.append(i)
-        if missing:
-            groups: dict[tuple, list[int]] = {}
-            for i in missing:
-                key = (ctxs[i].tape.structure, ctxs[i].model.identity())
+            if payloads[i] is None:
+                key = (ctx.tape.structure, ctx.model.identity())
                 groups.setdefault(key, []).append(i)
-            if len(_RESULT_MEMO) > _MEMO_MAX:
-                _RESULT_MEMO.clear()
-            for indices in groups.values():
-                for i, payload in zip(
-                        indices, _group_payloads([ctxs[i] for i in indices])):
-                    payloads[i] = payload
-                    if ctxs[i].digest is not None:
-                        _RESULT_MEMO[ctxs[i].digest] = payload
-        done = [p for p in payloads if p is not None]
-        assert len(done) == len(ctxs)
-        if batch_key is not None:
-            if len(_BATCH_CACHE) > _BATCH_MAX:
-                _BATCH_CACHE.clear()
-            _BATCH_CACHE[batch_key] = list(done)
-        return done
+        for indices in groups.values():
+            for i, payload in zip(
+                    indices, _group_payloads([ctxs[i] for i in indices])):
+                digest = ctxs[i].digest
+                payloads[i] = (payload if digest is None
+                               else _RESULT_MEMO.put(digest, payload))
+        return payloads  # type: ignore[return-value]
 
     # -- assembly ------------------------------------------------------------
 
@@ -1199,36 +1065,23 @@ def _column_chunk(ctxs: list[_JobCtx], knobs: dict[str, np.ndarray],
     return ColumnChunk(start, ctxs[0].mapping.n_ranks, lane(elapsed), *accs)
 
 
-def _on_new_pricing_model(_model: PricingModel) -> None:
-    """A late-registered model may declare tape columns existing tapes
-    lack; drop every compiled tape (and the payload memos keyed off their
-    digests) so the next compile stacks the new columns."""
-    _TAPES.clear()
-    _RESULT_MEMO.clear()
-    _BATCH_CACHE.clear()
-
-
-on_pricing_registered(_on_new_pricing_model)
-
-
 class _StreamChunkWorker:
-    """PersistentPool handler: price one pickled job chunk per call.
+    """PersistentPool handler: price one pickled job chunk per call under
+    the parent's :class:`~repro.context.RunContext`.
 
-    Lives in a spawned worker process; the process-local caches (tape,
-    network, binary, memo) persist across calls, so each worker compiles
-    a given program's tape exactly once — Program is a frozen value type,
-    so pickled copies hit the same :class:`TapeCache` entry.
+    Lives in a worker process; the process-local memos (tape, network,
+    binary, result) persist across calls, so each worker compiles a
+    given program's tape exactly once — Program is a frozen value type,
+    so pickled copies hit the same tape-memo entry.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, ctx: RunContext) -> None:
+        self._ctx = ctx
         self._backend = shared_batch_backend()
 
     def handle(self, chunk: list[BatchJob]) -> list[RunResult]:
-        return self._backend.run_batch(chunk)
-
-
-def _stream_worker_factory(_init: Any) -> _StreamChunkWorker:
-    return _StreamChunkWorker()
+        with using(self._ctx):
+            return self._backend.run_batch(chunk)
 
 
 _SHARED: BatchAnalyticBackend | None = None

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.ir.backend import BACKENDS, Backend, RunResult, backend_option
+from repro.context import current
+from repro.ir.backend import BACKENDS, Backend, RunResult
 from repro.ir.lower import lower
 from repro.ir.program import Program
 from repro.machine.cluster import ClusterModel
@@ -53,8 +54,8 @@ class DESBackend(Backend):
         optimize: bool = False,
         shards: int | None = None,
         shard_workers: int | None = None,
-        shard_granularity: str | None = None,
-        hybrid: bool | None = None,
+        shard_granularity: str = "node",
+        hybrid: bool = False,
         pricing: str | PricingModel | None = None,
         **kwargs: Any,
     ) -> RunResult:
@@ -78,14 +79,11 @@ class DESBackend(Backend):
 
             verify = not static_clean(program, mapping.n_ranks)
         binary = self._binary(program, cluster, binary)
+        ctx = current()
         if shards is None:
-            shards = int(backend_option("des_shards", 1))
+            shards = ctx.des_shards
         if shard_workers is None:
-            shard_workers = int(backend_option("des_workers", 0))
-        if shard_granularity is None:
-            shard_granularity = str(backend_option("des_granularity", "node"))
-        if hybrid is None:
-            hybrid = bool(backend_option("des_hybrid", False))
+            shard_workers = ctx.des_workers
         shard_stats = None
         if shards > 1:
             # Sharded path: cross-shard traffic forbids the closed-form

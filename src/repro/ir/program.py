@@ -52,6 +52,24 @@ class Program:
         if self.steps < 1:
             raise ConfigurationError("steps must be >= 1")
 
+    # A Program keys the tape and analysis memos; hashing its whole op
+    # tree once, not on every lookup, keeps a memo hit cheap.  The stored
+    # hash never crosses pickle: string hashes differ between processes.
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.name, self.body, self.steps, self.ranks_per_node,
+                      self.threads_per_rank, self.language, self.kernels,
+                      self.replicated_bytes_per_rank,
+                      self.distributed_bytes_total))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     # -- structure helpers ---------------------------------------------------
 
     def iter_phases(self) -> Iterator[tuple[Phase, int]]:

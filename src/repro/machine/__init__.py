@@ -48,12 +48,10 @@ from repro.machine.models import (
     PricingModel,
     PRICING_MODELS,
     RooflineModel,
-    default_pricing_name,
     get_pricing_model,
     pricing_model_names,
     register_pricing_model,
     resolve_pricing,
-    set_default_pricing,
 )
 
 __all__ = [
@@ -91,10 +89,8 @@ __all__ = [
     "PricingModel",
     "PRICING_MODELS",
     "RooflineModel",
-    "default_pricing_name",
     "get_pricing_model",
     "pricing_model_names",
     "register_pricing_model",
     "resolve_pricing",
-    "set_default_pricing",
 ]

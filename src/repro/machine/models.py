@@ -32,9 +32,11 @@ from typing import Any
 
 import numpy as np
 
+from repro.context import current
 from repro.machine.cluster import ClusterModel
 from repro.machine.core import CoreModel
 from repro.util.errors import ConfigurationError
+from repro.util.memo import clear_memos
 
 #: In-flight cache-line streams per core assumed by the ECM transfer terms;
 #: A64FX sustains 8 outstanding L2 prefetch streams per core (ECM paper,
@@ -259,25 +261,19 @@ class ECMModel(PricingModel):
 #: Registered pricing models, name -> singleton instance.
 PRICING_MODELS: dict[str, PricingModel] = {}
 
-#: Callbacks fired when a new model registers (the batched tape cache
-#: subscribes so tapes compiled without a late model's columns are dropped).
-_REGISTRY_LISTENERS: list[Callable[[PricingModel], None]] = []
-
 
 def register_pricing_model(model: PricingModel) -> PricingModel:
-    """Register a pricing model; re-registering the same name replaces it."""
+    """Register a pricing model; re-registering the same name replaces it.
+
+    Every registered memo is dropped: a late model may declare tape
+    columns the compiled tapes lack, and a replaced model must not be
+    served results memoized under its name.
+    """
     if not model.name:
         raise ConfigurationError("pricing model needs a non-empty name")
     PRICING_MODELS[model.name] = model
-    for listener in _REGISTRY_LISTENERS:
-        listener(model)
+    clear_memos()
     return model
-
-
-def on_pricing_registered(callback: Callable[[PricingModel], None]) -> None:
-    """Subscribe to future model registrations (idempotent)."""
-    if callback not in _REGISTRY_LISTENERS:
-        _REGISTRY_LISTENERS.append(callback)
 
 
 def get_pricing_model(name: str) -> PricingModel:
@@ -308,24 +304,12 @@ def column_extractors() -> dict[str, Callable[[Any], float]]:
 register_pricing_model(RooflineModel())
 register_pricing_model(ECMModel())
 
-_DEFAULT_PRICING = "roofline"
-
-
-def set_default_pricing(name: str) -> None:
-    """Install the process-wide default pricing model (validated)."""
-    global _DEFAULT_PRICING
-    _DEFAULT_PRICING = get_pricing_model(name).name
-
-
-def default_pricing_name() -> str:
-    """Name of the process-wide default pricing model."""
-    return _DEFAULT_PRICING
-
 
 def resolve_pricing(spec: str | PricingModel | None) -> PricingModel:
-    """Resolve a pricing spec (name, instance, or None = default)."""
+    """Resolve a pricing spec (name, instance, or None = the run
+    context's model, see :mod:`repro.context`)."""
     if spec is None:
-        return PRICING_MODELS[_DEFAULT_PRICING]
+        return PRICING_MODELS[current().pricing]
     if isinstance(spec, PricingModel):
         return spec
     return get_pricing_model(spec)

@@ -14,8 +14,7 @@ batched substrate:
   rejections);
 * :class:`AdmissionBatcher` — coalesces concurrent in-flight queries
   into one stacked :meth:`~repro.ir.batch.BatchAnalyticBackend.run_batch`
-  tape pass on a single worker thread (which also confines the batch
-  layer's process-local caches to one thread);
+  tape pass on a single worker thread;
 * :class:`CapacityService` — validation, quota check, batching, and the
   canonical response encoding.  Responses are bit-identical to a direct
   ``run_batch`` call for the same point — the concurrency suite in
@@ -46,6 +45,7 @@ from repro.util.errors import (
     OutOfMemoryError,
     ToolchainError,
 )
+from repro.util.memo import Memo, memo_stats
 
 __all__ = [
     "AdmissionBatcher",
@@ -56,6 +56,11 @@ __all__ = [
     "ServiceError",
     "TokenBucket",
 ]
+
+#: entry bounds of a service's own memos: cluster presets by name, and
+#: compiled programs per distinct (workload, cluster, n_nodes, steps).
+CLUSTER_MEMO_ENTRIES = 64
+PROGRAM_MEMO_ENTRIES = 1024
 
 
 class ServiceError(Exception):
@@ -218,9 +223,7 @@ class AdmissionBatcher:
     Submitting threads enqueue a :class:`BatchJob` and block; a single
     daemon worker wakes on the first arrival and prices everything
     already queued (up to ``max_batch`` jobs) at once in one vectorized
-    tape pass; queries arriving during a pass form the next batch.  One
-    worker thread means the batch layer's process-local caches are only
-    ever touched from one thread.
+    tape pass; queries arriving during a pass form the next batch.
 
     Per-job faults are isolated: if a stacked pass raises or returns the
     wrong number of results, the batch is re-run job-by-job so only the
@@ -370,9 +373,10 @@ class CapacityService:
                                         max_batch=self.config.max_batch)
         self.quotas = QuotaRegistry(self.config.quota_rate,
                                     self.config.quota_burst)
-        self._clusters: dict[str, ClusterModel] = {}
-        self._programs: dict[tuple[str, str, int, int], Program] = {}
-        self._lock = threading.Lock()
+        self._clusters: Memo[ClusterModel] = Memo(
+            "service.clusters", CLUSTER_MEMO_ENTRIES, register=False)
+        self._programs: Memo[Program] = Memo(
+            "service.programs", PROGRAM_MEMO_ENTRIES, register=False)
         self.rejected = 0
         self.failed = 0
 
@@ -383,25 +387,23 @@ class CapacityService:
         batch layer's id-memoized fingerprints stay warm."""
         from repro.verify.runner import resolve_cluster
 
-        with self._lock:
-            hit = self._clusters.get(name)
-            if hit is not None:
-                return hit
+        hit = self._clusters.get(name)
+        if hit is not None:
+            return hit
         try:
             cluster = resolve_cluster(name)
         except ConfigurationError as exc:
             raise ServiceError(400, str(exc)) from exc
-        with self._lock:
-            return self._clusters.setdefault(name, cluster)
+        return self._clusters.put(name, cluster)
 
     def _program(self, query: Query, cluster: ClusterModel) -> Program:
-        """The workload IR for this query (bench or app), cached so the
-        same (workload, cluster, n_nodes, steps) never recompiles."""
+        """The workload IR for this query (bench or app), memoized per
+        (workload, cluster, n_nodes, steps) up to
+        :data:`PROGRAM_MEMO_ENTRIES` recent keys."""
         key = (query.workload, query.cluster, query.n_nodes, query.steps)
-        with self._lock:
-            hit = self._programs.get(key)
-            if hit is not None:
-                return hit
+        hit = self._programs.get(key)
+        if hit is not None:
+            return hit
         from repro.ir.analyze.catalog import target
 
         try:
@@ -416,8 +418,7 @@ class CapacityService:
                 f"{sorted(BENCH_NAMES)} or app {sorted(ALL_APPS)}") from exc
         except (ConfigurationError, OutOfMemoryError) as exc:
             raise ServiceError(422, str(exc)) from exc
-        with self._lock:
-            return self._programs.setdefault(key, resolved.program)
+        return self._programs.put(key, resolved.program)
 
     def job_for(self, query: Query) -> BatchJob:
         """Resolve a validated query to the exact :class:`BatchJob` the
@@ -486,7 +487,9 @@ class CapacityService:
         return (200, {"status": "ok"}) if fault is None else (503, fault.body())
 
     def stats(self) -> dict[str, Any]:
-        """Service counters + cache residency (the /v1/stats body)."""
+        """Service counters + cache residency (the /v1/stats body):
+        ``memos`` holds the counters of every registered memo and of the
+        service's own; ``tape_cache`` repeats the tape memo's."""
         batcher = self.batcher
         return {
             "queries": batcher.queries,
@@ -496,6 +499,9 @@ class CapacityService:
             "rejected": self.rejected,
             "failed": self.failed,
             "tape_cache": tape_cache_stats(),
+            "memos": {**memo_stats(),
+                      **{memo.name: memo.stats()
+                         for memo in (self._clusters, self._programs)}},
         }
 
     def close(self) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.machine.node import NodeModel
-from repro.smp.binding import ThreadBinding, ThreadPlacement, bind_threads
+from repro.smp.binding import ThreadPlacement, bind_threads
 from repro.smp.pages import PagePolicy, page_locality
 from repro.util.errors import ConfigurationError
 
@@ -86,7 +86,6 @@ def node_stream_bandwidth(
     ranks: int,
     threads_per_rank: int,
     policy: PagePolicy = PagePolicy.FIRST_TOUCH,
-    binding: ThreadBinding = ThreadBinding.SPREAD,
 ) -> float:
     """Aggregate node bandwidth for ``ranks`` processes x threads each.
 

@@ -40,6 +40,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.context import RunContext, current, using
 from repro.ir.batch import (
     DEFAULT_STREAM_BUDGET,
     BatchJob,
@@ -242,19 +243,19 @@ class _TuneState:
 
 
 class _TuneWorker:
-    """Pool handler: one resolved :class:`_TuneState` per process."""
+    """Pool handler: one resolved :class:`_TuneState` per process, each
+    task priced under the parent's run context."""
 
-    def __init__(self, spec: TuneSpec) -> None:
-        self._state = _TuneState(spec)
+    def __init__(self, init: tuple[TuneSpec, RunContext]) -> None:
+        spec, self._ctx = init
+        with using(self._ctx):
+            self._state = _TuneState(spec)
 
     def handle(
         self, task: tuple[int, int]
     ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        return self._state.price_task(task)
-
-
-def _tune_worker_factory(spec: TuneSpec) -> _TuneWorker:
-    return _TuneWorker(spec)
+        with using(self._ctx):
+            return self._state.price_task(task)
 
 
 def _baseline(state: _TuneState) -> tuple[str, dict[str, tuple[float, float]]]:
@@ -365,8 +366,9 @@ def tune(
         cand_t.append(times)
         cand_e.append(energies)
 
+    probe_t0 = perf_counter()
     collect(state.price_task(tasks[0]))
-    probe_wall = perf_counter() - t0
+    probe_wall = perf_counter() - probe_t0
     rest = tasks[1:]
     used_pool = False
     if rest:
@@ -378,8 +380,8 @@ def tune(
             from repro.harness.procpool import PersistentPool
 
             n_workers = max(2, min(workers, len(rest)))
-            with PersistentPool(_tune_worker_factory,
-                                [spec] * n_workers) as pool:
+            with PersistentPool(_TuneWorker,
+                                [(spec, current())] * n_workers) as pool:
                 for reply in pool.imap(iter(rest)):
                     collect(reply)
             used_pool = True

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import get_app
+from repro.context import RunContext, using
 from repro.des.shard import (
     ShardPlan,
     ShardWorld,
@@ -21,7 +22,7 @@ from repro.des.shard import (
     run_sharded,
 )
 from repro.des.shard.driver import _actor_key, _ShardHost
-from repro.ir import DESBackend, FastCollBackend, set_backend_options
+from repro.ir import DESBackend, FastCollBackend
 from repro.ir.lower import lower
 from repro.machine import cte_arm
 from repro.network.model import network_for
@@ -430,12 +431,9 @@ class TestBackendWiring:
         self, program, cluster, mapping
     ):
         backend = DESBackend()
-        set_backend_options(des_shards=2)
-        try:
+        with using(RunContext(des_shards=2)):
             result = backend.run(program, cluster, N_NODES,
                                  mapping=mapping, check_memory=False)
-        finally:
-            set_backend_options(des_shards=None)
         assert result.shard_stats is not None
         assert result.shard_stats["n_shards"] == 2
 

@@ -27,15 +27,14 @@ from repro.ir import (
     Program,
     SerialOp,
     compile_phases,
-    default_backend_name,
     from_json,
     get_backend,
     grid_dims,
     grid_neighbors,
-    set_default_backend,
     to_dict,
     to_json,
 )
+from repro.context import RunContext, current, using
 from repro.ir.lower import _comm_reps, _halo_ndims, flatten_phases, lower
 from repro.ir.ops import COMM_KINDS
 from repro.machine import cte_arm
@@ -200,16 +199,13 @@ class TestBackendRegistry:
         with pytest.raises(ConfigurationError):
             get_backend("quantum")
         with pytest.raises(ConfigurationError):
-            set_default_backend("quantum")
+            RunContext(backend="quantum")
 
     def test_default_backend_round_trip(self):
-        prev = default_backend_name()
-        try:
-            set_default_backend("fastcoll")
-            assert default_backend_name() == "fastcoll"
-        finally:
-            set_default_backend(prev)
-        assert default_backend_name() == prev
+        prev = current().backend
+        with using(RunContext(backend="fastcoll")):
+            assert current().backend == "fastcoll"
+        assert current().backend == prev
 
 
 class TestAnalyticParity:

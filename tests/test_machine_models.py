@@ -32,6 +32,7 @@ from repro.ir import (
     certified_optimize,
     certify,
 )
+from repro.context import RunContext, current, using
 from repro.ir.analytic import AnalyticBackend
 from repro.machine import (
     MACHINES,
@@ -39,13 +40,11 @@ from repro.machine import (
     PRICING_MODELS,
     RooflineModel,
     cte_arm,
-    default_pricing_name,
     get_preset,
     get_pricing_model,
     marenostrum4,
     pricing_model_names,
     resolve_pricing,
-    set_default_pricing,
     thunderx2,
 )
 from repro.simmpi.mapping import RankMapping
@@ -129,17 +128,14 @@ class TestPricingRegistry:
             get_pricing_model("lognormal")
 
     def test_default_round_trip(self):
-        assert default_pricing_name() == "roofline"
-        try:
-            set_default_pricing("ecm")
+        assert current().pricing == "roofline"
+        with using(RunContext(pricing="ecm")):
             assert resolve_pricing(None).name == "ecm"
-        finally:
-            set_default_pricing("roofline")
 
     def test_set_default_validates(self):
         with pytest.raises(ConfigurationError):
-            set_default_pricing("nope")
-        assert default_pricing_name() == "roofline"
+            RunContext(pricing="nope")
+        assert current().pricing == "roofline"
 
     def test_registration_invalidates_batch_caches(self):
         from repro.ir import batch
@@ -350,11 +346,8 @@ class TestHarnessCacheKey:
         app = NemoModel()
         cluster = cte_arm(16)
         base = app.sweep_timings(cluster, [8])
-        try:
-            set_default_pricing("ecm")
+        with using(RunContext(pricing="ecm")):
             ecm = app.sweep_timings(cluster, [8])
-        finally:
-            set_default_pricing("roofline")
         again = app.sweep_timings(cluster, [8])
         assert ecm[8].total >= base[8].total
         assert again[8].total == base[8].total

@@ -223,12 +223,9 @@ class TestRunStats:
         assert [s[2] for s in last_run_stats()] == ["cache", "cache"]
 
     def test_cache_key_depends_on_backend_options(self):
-        from repro.ir import set_backend_options
+        from repro.context import RunContext, using
 
         key = cache_key(_IDS[0], "des")
-        set_backend_options(des_shards=8)
-        try:
+        with using(RunContext(des_shards=8)):
             assert cache_key(_IDS[0], "des") != key
-        finally:
-            set_backend_options(des_shards=None)
         assert cache_key(_IDS[0], "des") == key

@@ -782,7 +782,7 @@ class TestHTTP:
                               headers={"X-Client-Id": "h2"})[0] == 200
 
     def test_stats_expose_tape_cache_counters(self, server):
-        """/v1/stats surfaces TapeCache hit/miss/eviction counters so
+        """/v1/stats surfaces tape-memo hit/miss/eviction counters so
         tuner-sized workloads can be observed when served (ISSUE 10)."""
         import urllib.request
         from repro.ir.batch import clear_caches
@@ -808,3 +808,22 @@ class TestHTTP:
         after = cache_stats()
         assert after["hits"] > mid["hits"]
         assert after["entries"] >= 1
+
+    def test_stats_expose_every_memo(self, server):
+        """/v1/stats carries a ``memos`` block read from the memo
+        registry plus the service's own cluster and program memos."""
+        import urllib.request
+
+        from repro.util.memo import MEMOS
+
+        assert self._post(server, {"workload": "stream",
+                                   "n_nodes": 2})[0] == 200
+        with urllib.request.urlopen(server.url + "/v1/stats",
+                                    timeout=10) as resp:
+            memos = json.loads(resp.read())["memos"]
+        assert set(memos) == set(MEMOS) | {"service.clusters",
+                                           "service.programs"}
+        for counters in memos.values():
+            assert {"entries", "hits", "misses", "evictions"} <= set(counters)
+        assert memos["service.programs"]["entries"] >= 1
+        assert memos["batch.tapes"]["entries"] >= 1

@@ -316,6 +316,26 @@ class TestEngine:
         assert serial.frontiers == pooled.frontiers
         assert serial.n_points == pooled.n_points
 
+    def test_pool_probe_excludes_space_building(self, monkeypatch):
+        """The probe times the first task alone: a slow ``build_space``
+        must not be multiplied by the remaining task count into a pool
+        for a tune that prices in milliseconds."""
+        import time
+
+        import repro.tune.engine as engine
+
+        real = engine.build_space
+
+        def slow_build_space(*args, **kwargs):
+            time.sleep(0.3)
+            return real(*args, **kwargs)
+
+        monkeypatch.delenv("REPRO_POOL_MIN_SECONDS", raising=False)
+        monkeypatch.setattr(engine, "build_space", slow_build_space)
+        result = tune(TuneSpec("nemo", "cte-arm", 16, scenarios=1),
+                      workers=2)
+        assert result.used_pool is False
+
     @pytest.mark.parametrize("budget", [1 << 12, 1 << 16,
                                         DEFAULT_STREAM_BUDGET])
     def test_budget_and_worker_invariance(self, budget, monkeypatch):
