@@ -6,28 +6,23 @@ Covers the layers the perf work targets:
 * DES engine event throughput (events/second);
 * a 64-rank allreduce campaign, simulated vs analytic fast collectives;
 * the IR optimizer passes (op-count shrink and wall cost);
-* the full figure/table experiment suite — serial, with ``--jobs N``
-  worker processes, and a cached re-run through the on-disk result cache;
-* the capacity-planning service under seeded open-loop traffic — latency
-  percentiles, throughput, the saturation sweep, and the bit-exactness
-  audit (also written standalone as ``BENCH_service.json``).
+* sharded DES walls on 768-rank NEMO and the 9,216-rank smoke;
+* ECM pricing and the ThunderX2 energy figure.
 
-Numbers are wall-clock on the current host; the parallel speedup scales
-with available cores (a single-core container shows the fan-out overhead,
-not a speedup — the cache row is the repeat-run win there).
+The figure suite and the service are measured by ``perfbench/`` (the
+``paper_suite`` and ``service_mix`` workloads, with repeated samples).
+Numbers are wall-clock on the current host.
 
 Usage::
 
-    PYTHONPATH=src python scripts/bench.py [--quick] [--jobs N] [--out F]
+    PYTHONPATH=src python scripts/bench.py [--quick] [--out F]
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -178,18 +173,10 @@ def bench_ir_optimize(reps: int) -> dict:
 
 
 def bench_des_sharded(quick: bool) -> dict:
-    """Sharded DES throughput on the fixed 768-rank NEMO program.
-
-    Reports, per shard count: total wall, engine events/s, and the
-    *critical-path* events/s — total events divided by the slowest
-    shard's accumulated simulation time, i.e. the throughput an
-    ideally parallel execution of the same windows would achieve.  On a
-    single-core host total wall stays ~flat (the shards time-share one
-    CPU and the windowing adds a few percent); the critical-path column
-    is what scales with cores.  Full mode adds the max-feasible-rank
-    smoke: 9216-rank NEMO under 8 shards, checked against the analytic
-    backend.
-    """
+    """Sharded DES wall and events/s on the fixed 768-rank NEMO
+    program, per shard count.  Full mode adds the max-feasible-rank
+    smoke: 9216-rank NEMO under 8 shards, set against the analytic
+    backend.  Shard agreement is a tier-1 contract test."""
     from repro.apps import get_app
     from repro.des.shard import ShardedSpec, run_sharded
     from repro.ir import AnalyticBackend
@@ -209,15 +196,12 @@ def bench_des_sharded(quick: bool) -> dict:
         t0 = time.perf_counter()
         result, stats = run_sharded(spec, workers=workers)
         wall = time.perf_counter() - t0
-        critical = max(stats.shard_wall_s.values())
         return {
             "n_shards": n_shards,
             "workers": workers,
             "wall_seconds": wall,
             "events": stats.events,
             "events_per_second": stats.events / wall,
-            "critical_path_seconds": critical,
-            "critical_path_events_per_second": stats.events / critical,
             "windows": stats.windows,
             "cross_messages": stats.cross_messages,
             "lookahead_seconds": stats.lookahead_s,
@@ -225,17 +209,11 @@ def bench_des_sharded(quick: bool) -> dict:
         }
 
     shard_counts = (1, 2) if quick else (1, 2, 4, 8)
-    rows = [one(n, 0) for n in shard_counts]
-    baseline = rows[0]["virtual_elapsed"]
-    assert all(
-        abs(r["virtual_elapsed"] - baseline) <= 1e-9 * baseline
-        for r in rows
-    ), "sharded runs must agree on virtual time"
     report = {
         "program": "nemo",
         "n_ranks": mapping.n_ranks,
         "steps": 1,
-        "rows": rows,
+        "rows": [one(n, 0) for n in shard_counts],
         "process_mode_4_shards": None if quick else one(4, 4),
         "smoke_9216_ranks": None,
     }
@@ -267,39 +245,6 @@ def bench_des_sharded(quick: bool) -> dict:
                 result.elapsed - analytic.elapsed) / analytic.elapsed,
         }
     return report
-
-
-def bench_figure_suite(jobs: int) -> dict:
-    from repro.harness.experiment import list_experiments
-    from repro.harness.parallel import run_experiments
-
-    ids = list_experiments()
-
-    t0 = time.perf_counter()
-    serial = run_experiments(ids, jobs=1)
-    serial_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    fanout = run_experiments(ids, jobs=jobs)
-    fanout_s = time.perf_counter() - t0
-
-    with tempfile.TemporaryDirectory() as cache:
-        run_experiments(ids, jobs=1, cache_dir=cache)  # populate
-        t0 = time.perf_counter()
-        cached = run_experiments(ids, jobs=1, cache_dir=cache)
-        cached_s = time.perf_counter() - t0
-
-    assert serial == fanout == cached, "executor output must be deterministic"
-    return {
-        "experiments": len(ids),
-        "jobs": jobs,
-        "serial_seconds": serial_s,
-        "parallel_seconds": fanout_s,
-        "parallel_speedup": serial_s / fanout_s,
-        "cached_rerun_seconds": cached_s,
-        "cached_speedup": serial_s / cached_s,
-        "cpu_count": os.cpu_count(),
-    }
 
 
 def bench_ecm_pricing(quick: bool) -> dict:
@@ -373,25 +318,11 @@ def bench_thunderx2_figure(quick: bool) -> dict:
     }
 
 
-def bench_service_loadtest(quick: bool, out_dir: Path) -> dict:
-    """The capacity-planning service under seeded open-loop traffic
-    (docs/SERVICE.md): latency percentiles, throughput, the quota-free
-    saturation sweep, and the bit-exactness audit.  Also written
-    standalone as BENCH_service.json next to the main report."""
-    from repro.service.traffic import loadtest_bench, write_bench
-
-    payload = loadtest_bench(quick=quick)
-    write_bench(payload, out_dir / "BENCH_service.json")
-    return payload
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=None, metavar="FILE",
                         help="output path (default: BENCH_substrate.json "
                         "at the repo root)")
-    parser.add_argument("--jobs", type=int, default=min(4, os.cpu_count() or 1),
-                        help="worker processes for the figure-suite row")
     parser.add_argument("--quick", action="store_true",
                         help="fewer repetitions (smoke-test mode)")
     args = parser.parse_args(argv)
@@ -411,13 +342,10 @@ def main(argv: list[str] | None = None) -> int:
         "des_sharded": bench_des_sharded(args.quick),
         "ecm_pricing": bench_ecm_pricing(args.quick),
         "thunderx2_figure": bench_thunderx2_figure(args.quick),
-        "figure_suite": bench_figure_suite(args.jobs),
-        "service_loadtest": bench_service_loadtest(args.quick, out.parent),
     }
     out.write_text(json.dumps(report, indent=2) + "\n")
     des = report["des_engine"]
     coll = report["allreduce_64_ranks"]
-    suite = report["figure_suite"]
     print(f"DES engine:   {des['events_per_second']:,.0f} events/s")
     print(f"allreduce 64: fast collectives {coll['speedup']:.2f}x wall "
           f"(virtual-time rel err {coll['virtual_elapsed_relative_error']:.2e})")
@@ -437,8 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     top = shd["rows"][-1]
     line = (f"sharded DES:  {top['n_shards']} shards "
             f"{top['wall_seconds']:.2f}s wall "
-            f"({top['events_per_second']:,.0f} ev/s, critical path "
-            f"{top['critical_path_events_per_second']:,.0f} ev/s)")
+            f"({top['events_per_second']:,.0f} ev/s)")
     if shd["smoke_9216_ranks"]:
         smoke = shd["smoke_9216_ranks"]
         line += (f"; 9216-rank smoke {smoke['wall_seconds']:.1f}s, "
@@ -452,25 +379,6 @@ def main(argv: list[str] | None = None) -> int:
     tx2 = report["thunderx2_figure"]
     print(f"ThunderX2:    energy figure {tx2['wall_seconds']:.3f}s, "
           f"expectations {'hold' if tx2['all_hold'] else 'FAIL'}")
-    print(f"figure suite: serial {suite['serial_seconds']:.2f}s, "
-          f"--jobs {suite['jobs']} {suite['parallel_seconds']:.2f}s "
-          f"({suite['parallel_speedup']:.2f}x on {suite['cpu_count']} cpu), "
-          f"cached rerun {suite['cached_rerun_seconds']:.2f}s "
-          f"({suite['cached_speedup']:.1f}x)")
-    svc = report["service_loadtest"]
-    svc_load = svc["loadtest"]
-    svc_sat = svc["saturation"]
-    audit = svc["bit_exact_vs_run_batch"]
-    sat_txt = (f"saturation {svc_sat['saturation_rps']:,.0f} q/s"
-               if svc_sat["saturation_rps"] is not None
-               else f"sustained {svc_sat['max_sustained_rps']:,.0f} q/s "
-               f"(saturation not reached)")
-    audit_txt = (f"bit-exact {audit['checked']}/{audit['checked']}"
-                 if audit["identical"] else "BIT-EXACTNESS AUDIT FAILED")
-    print(f"service:      {svc_load['offered']} queries, "
-          f"{svc_load['throughput_rps']:,.0f} q/s, p50 "
-          f"{svc_load['latency_ms']['p50']:.1f} ms, p99 "
-          f"{svc_load['latency_ms']['p99']:.1f} ms, {sat_txt}, {audit_txt}")
     return 0
 
 

@@ -373,7 +373,6 @@ class AppModel(abc.ABC):
             BatchAnalyticBackend,
             BatchJob,
             binary_fingerprint,
-            cluster_fingerprint,
         )
         engine = _resolve_backend(backend)
         if binary is None:
@@ -388,7 +387,7 @@ class AppModel(abc.ABC):
                 self.ranks_per_node, self.threads_per_rank,
                 self.replicated_bytes_per_rank,
                 self.distributed_bytes_total,
-                cluster_fingerprint(cluster),
+                cluster.fingerprint,
                 binary_fingerprint(binary),
                 current().pricing,
                 tuple(n for n in nodes if n <= cluster.n_nodes),

@@ -30,7 +30,7 @@ loop is tuned for allocation economy rather than generality:
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 from repro.util.errors import DeadlockError, SimulationError
 
@@ -355,9 +355,3 @@ class Engine:
             self.last_event_time = self._now
         self._now = until
         return n
-
-    def run_all(self, generators: Iterable[ProcessGen]) -> float:
-        """Convenience: register all generators, run to completion."""
-        for i, gen in enumerate(generators):
-            self.process(gen, label=f"proc{i}")
-        return self.run()

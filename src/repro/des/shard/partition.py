@@ -161,13 +161,6 @@ class ShardPlan:
         return range(units.start * self.ranks_per_unit,
                      units.stop * self.ranks_per_unit)
 
-    def local_nodes(self, shard: int) -> range:
-        """Nodes with at least one unit in ``shard`` (may overlap between
-        adjacent shards at CMG granularity)."""
-        units = self.unit_range(shard)
-        return range(units.start // self.units_per_node,
-                     (units.stop - 1) // self.units_per_node + 1)
-
     @property
     def splits_nodes(self) -> bool:
         """True when some node's units land in different shards."""

@@ -97,7 +97,6 @@ __all__ = [
     "Tape",
     "binary_fingerprint",
     "clear_caches",
-    "cluster_fingerprint",
     "compile_tape",
     "set_tape_budget",
     "shared_batch_backend",
@@ -419,19 +418,12 @@ class ColumnChunk:
 # -- process-local memos -----------------------------------------------------
 
 #: entry bounds, each above the working set of a cold paper suite
-#: (54 clusters, 98 networks, 33 placements, 225 results) and a tune.
-FINGERPRINT_MEMO_ENTRIES = 512
+#: (98 networks, 33 placements, 225 results) and a tune.
 NETWORK_MEMO_ENTRIES = 512
 RANK_BW_MEMO_ENTRIES = 1024
 BINARY_MEMO_ENTRIES = 512
 RESULT_MEMO_ENTRIES = 65536
 
-# id -> (strong ref, digest): the strong ref keeps the id from being
-# reused while the entry is resident
-_CLUSTER_FP: Memo[tuple[Any, bytes]] = Memo(
-    "batch.cluster_fp", FINGERPRINT_MEMO_ENTRIES)
-_COMPILER_FP: Memo[tuple[Any, bytes]] = Memo(
-    "batch.compiler_fp", FINGERPRINT_MEMO_ENTRIES)
 _NETWORKS: Memo[NetworkModel] = Memo("batch.networks",
                                      NETWORK_MEMO_ENTRIES)
 _RANK_BW: Memo[float] = Memo("batch.rank_bw", RANK_BW_MEMO_ENTRIES)
@@ -444,21 +436,9 @@ def clear_caches() -> None:
     clear_memos()
 
 
-def _fingerprint(memo: Memo[tuple[Any, bytes]], obj: Any) -> bytes:
-    return memo.get_or_compute(
-        id(obj), lambda: (obj, hashlib.sha256(repr(obj).encode()).digest())
-    )[1]
-
-
-def cluster_fingerprint(cluster: ClusterModel) -> bytes:
-    """Content digest of a cluster model (repr over the frozen tree),
-    used in every batch cache key."""
-    return _fingerprint(_CLUSTER_FP, cluster)
-
-
 def _network(cluster: ClusterModel, n_nodes: int) -> NetworkModel:
     return _NETWORKS.get_or_compute(
-        (cluster_fingerprint(cluster), n_nodes),
+        (cluster.fingerprint, n_nodes),
         lambda: network_for(cluster, n_nodes=n_nodes))
 
 
@@ -466,7 +446,7 @@ def _rank_bw(mapping: RankMapping) -> float:
     """``mapping.rank_memory_bandwidth(0)`` — independent of n_nodes, so
     memoized per (cluster, ranks_per_node, threads_per_rank)."""
     return _RANK_BW.get_or_compute(
-        (cluster_fingerprint(mapping.cluster), mapping.ranks_per_node,
+        (mapping.cluster.fingerprint, mapping.ranks_per_node,
          mapping.threads_per_rank),
         lambda: mapping.rank_memory_bandwidth(0))
 
@@ -476,7 +456,7 @@ def binary_fingerprint(binary: Binary) -> tuple:
     not unique — what-if experiments patch vec_table on a profile keeping
     its label, so the whole frozen profile is hashed), language, flags,
     kernel classes."""
-    return (binary.application, _fingerprint(_COMPILER_FP, binary.compiler),
+    return (binary.application, binary.compiler.fingerprint,
             binary.language, binary.flags, binary.kernels)
 
 
@@ -496,7 +476,7 @@ def _resolve_binary(program: Program, cluster: ClusterModel,
                               language=program.language)
 
     built = _BINARIES.get_or_compute(
-        (program.name, cluster_fingerprint(cluster), program.kernels,
+        (program.name, cluster.fingerprint, program.kernels,
          program.language), build)
     built.check_runnable()
     return built
@@ -799,11 +779,11 @@ class BatchAnalyticBackend(Backend):
         else:
             network = _network(job.cluster, job.n_nodes)
             h = hashlib.sha256(tape.digest)
-            h.update(cluster_fingerprint(job.cluster))
+            h.update(job.cluster.fingerprint)
             h.update(str(job.n_nodes).encode())
             h.update(repr((mapping.n_nodes, mapping.ranks_per_node,
                            mapping.threads_per_rank)).encode())
-            h.update(cluster_fingerprint(mapping.cluster))
+            h.update(mapping.cluster.fingerprint)
             h.update(repr(None if binary is None
                           else binary_fingerprint(binary)).encode())
             h.update(repr(tuple(sorted(overrides.items()))).encode())

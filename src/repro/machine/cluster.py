@@ -7,7 +7,9 @@ LINPACK/HPCG drivers (cluster peak, total memory).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from repro.machine.node import NodeModel
@@ -29,6 +31,11 @@ class ClusterModel:
     def __post_init__(self) -> None:
         if self.n_nodes <= 0:
             raise ConfigurationError("cluster needs at least one node")
+
+    @cached_property
+    def fingerprint(self) -> bytes:
+        """Digest of the frozen tree's repr, once per object (batch keys)."""
+        return hashlib.sha256(repr(self).encode()).digest()
 
     @property
     def total_cores(self) -> int:

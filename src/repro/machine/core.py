@@ -69,14 +69,6 @@ class CoreModel:
             return SCALAR
         return max(self.vector_isas, key=lambda isa: isa.vector_bits)
 
-    def isa_by_name(self, name: str) -> VectorISA:
-        for isa in self.vector_isas:
-            if isa.name == name:
-                return isa
-        if name == SCALAR.name:
-            return SCALAR
-        raise ConfigurationError(f"core {self.name} has no ISA named {name!r}")
-
     def peak_flops(
         self,
         dtype: DType = DType.DOUBLE,

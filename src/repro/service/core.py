@@ -188,22 +188,39 @@ class TokenBucket:
             return True, 0.0
         return False, (1.0 - self._tokens) / self.rate
 
+    def full_at(self, now: float) -> bool:
+        """Refilled to ``burst`` by ``now``: as good as a fresh bucket."""
+        return self._tokens + max(0.0, now - self._last) * self.rate >= self.burst
+
 
 class QuotaRegistry:
-    """Per-client token buckets, created lazily with shared limits."""
+    """Per-client token buckets, created lazily with shared limits.
+
+    ``now`` is clamped to the latest value seen.  Full buckets, which
+    answer exactly like fresh ones, are dropped whenever the table has
+    doubled since the last sweep (and holds at least ``MIN_SWEEP``).
+    """
+
+    MIN_SWEEP = 64
 
     def __init__(self, rate: float, burst: float) -> None:
         self._rate = rate
         self._burst = burst
         self._buckets: dict[str, TokenBucket] = {}
+        self._now = float("-inf")
+        self._sweep_at = self.MIN_SWEEP
         self._lock = threading.Lock()
 
     def admit(self, client: str, now: float) -> tuple[bool, float]:
         with self._lock:
+            now = self._now = max(self._now, now)
             bucket = self._buckets.get(client)
             if bucket is None:
-                bucket = TokenBucket(self._rate, self._burst)
-                self._buckets[client] = bucket
+                if len(self._buckets) >= self._sweep_at:
+                    self._buckets = {c: b for c, b in self._buckets.items()
+                                     if not b.full_at(now)}
+                    self._sweep_at = max(self.MIN_SWEEP, 2 * len(self._buckets))
+                bucket = self._buckets[client] = TokenBucket(self._rate, self._burst)
             return bucket.try_acquire(now)
 
 

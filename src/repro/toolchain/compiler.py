@@ -9,7 +9,9 @@ feed :meth:`repro.machine.core.CoreModel.sustained_flops`.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
 from repro.machine.core import CoreModel
@@ -72,6 +74,11 @@ class CompilerProfile:
     @property
     def label(self) -> str:
         return f"{self.name}/{self.version}"
+
+    @cached_property
+    def fingerprint(self) -> bytes:
+        """Digest of the frozen tree's repr, once per object (batch keys)."""
+        return hashlib.sha256(repr(self).encode()).digest()
 
     def vectorization(self, kernel: KernelClass) -> VectorizationResult:
         """Vectorization outcome for a kernel class (scalar if unknown)."""

@@ -243,9 +243,30 @@ def test_clear_caches_walks_exactly_the_process_memos():
     import repro.ir.batch  # noqa: F401
 
     assert set(MEMOS) == {
-        "apps.sweeps", "batch.binaries", "batch.cluster_fp",
-        "batch.compiler_fp", "batch.networks", "batch.rank_bw",
+        "apps.sweeps", "batch.binaries", "batch.networks", "batch.rank_bw",
         "batch.results", "batch.tapes"}
+
+
+def test_pricing_keeps_no_cluster_alive():
+    """Cluster and compiler digests live on the objects themselves, so a
+    priced cluster that nothing else references is collected."""
+    import gc
+    import weakref
+
+    from repro.apps import get_app
+    from repro.ir.batch import BatchJob, shared_batch_backend
+    from repro.machine import cte_arm
+
+    cluster = cte_arm(4)
+    app = get_app("nemo")
+    mapping = app.mapping(cluster, 2)
+    shared_batch_backend().run_batch([BatchJob(
+        app.program(mapping), cluster, 2, mapping=mapping,
+        check_memory=False)])
+    ref = weakref.ref(cluster)
+    del cluster, mapping
+    gc.collect()
+    assert ref() is None
 
 
 # -- bounded residency under a long service replay ----------------------------

@@ -148,6 +148,19 @@ class TestSerialize:
         assert after.elapsed == before.elapsed
         assert after.phase_seconds == before.phase_seconds
 
+    def test_round_trip_keeps_nemo_cost(self):
+        from repro.apps import get_app
+
+        app = get_app("nemo")
+        program = app.program(app.mapping(_CLUSTER, 16))
+        parsed = from_json(to_json(program))
+        assert parsed == program
+        binary = app.build(_CLUSTER)
+        before = AnalyticBackend().run(program, _CLUSTER, 16, binary=binary)
+        after = AnalyticBackend().run(parsed, _CLUSTER, 16, binary=binary)
+        assert after.elapsed == before.elapsed
+        assert after.phase_seconds == before.phase_seconds
+
     def test_unknown_record_rejected(self):
         data = to_dict(_toy_program())
         data["body"][0]["body"][0]["ops"][0]["op"] = "quantum"

@@ -17,6 +17,9 @@ The contracts under test are ISSUE 10's tentpole guarantees:
 
 from __future__ import annotations
 
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -31,8 +34,9 @@ from repro.ir.batch import (
     stream_chunk_points,
     validate_overrides,
 )
+from repro.ir import batch
 from repro.machine.presets import cte_arm
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, WorkerLostError
 
 _ARM = cte_arm(64)
 
@@ -80,6 +84,15 @@ def _stacked_nemo_jobs(pricing="roofline"):
     return jobs
 
 
+class _DyingChunkWorker(batch._StreamChunkWorker):
+    """Stream worker whose process exits inside the 4-job chunk."""
+
+    def handle(self, chunk):
+        if len(chunk) == 4:
+            os._exit(1)
+        return super().handle(chunk)
+
+
 class TestRunBatchStream:
     @pytest.mark.parametrize("chunk", [1, 3, 7, 50, 500])
     def test_bit_identical_any_chunk_size(self, chunk):
@@ -114,6 +127,26 @@ class TestRunBatchStream:
         # a tiny budget forces many small chunks; results must not move
         streamed = list(backend.run_batch_stream(
             iter(jobs), memory_budget_bytes=1 << 16))
+        for a, b in zip(direct, streamed):
+            _assert_results_equal(a, b)
+
+    def test_worker_killed_mid_chunk_raises_then_reruns(self, monkeypatch):
+        monkeypatch.setenv("REPRO_POOL_MIN_SECONDS", "0")
+        backend = shared_batch_backend()
+        jobs = _nemo_jobs(60)
+        direct = backend.run_batch(jobs)
+        clear_caches()
+        # 60 jobs in chunks of 7: only the last chunk holds 4 jobs
+        with monkeypatch.context() as m:
+            m.setattr(batch, "_StreamChunkWorker", _DyingChunkWorker)
+            t0 = time.monotonic()
+            with pytest.raises(WorkerLostError, match="exit code 1"):
+                list(backend.run_batch_stream(iter(jobs), chunk_points=7,
+                                              workers=2))
+            assert time.monotonic() - t0 < 10.0
+        streamed = list(backend.run_batch_stream(iter(jobs), chunk_points=7,
+                                                 workers=2))
+        assert len(streamed) == len(direct)
         for a, b in zip(direct, streamed):
             _assert_results_equal(a, b)
 

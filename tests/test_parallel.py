@@ -47,6 +47,20 @@ class TestResultCache:
         cached = run_experiments(_IDS, jobs=1, cache_dir=tmp_path)
         assert json.dumps(cached) == json.dumps(fresh)
 
+    def test_ecm_batch_warm_pass_is_cached_and_identical(self, tmp_path):
+        from repro.harness.parallel import last_run_stats
+
+        ids = ["fig6_linpack", "fig11_nemo", "ext_ecm_kernels"]
+        for exp_id in ids:
+            assert (cache_key(exp_id, "batch", "ecm")
+                    != cache_key(exp_id, "batch", "roofline"))
+        cold = run_experiments(ids, cache_dir=tmp_path, backend="batch",
+                               pricing="ecm")
+        warm = run_experiments(ids, cache_dir=tmp_path, backend="batch",
+                               pricing="ecm")
+        assert [s[2] for s in last_run_stats()] == ["cache"] * len(ids)
+        assert warm == cold
+
     def test_key_depends_on_source_fingerprint(self, monkeypatch):
         key = cache_key(_IDS[0])
         monkeypatch.setattr(

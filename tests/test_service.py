@@ -16,6 +16,7 @@ The load-bearing guarantees (ISSUE 8):
 from __future__ import annotations
 
 import json
+import random
 import statistics
 import sys
 import threading
@@ -37,6 +38,7 @@ from repro.service import (
     AdmissionBatcher,
     CapacityService,
     Query,
+    QuotaRegistry,
     ServiceConfig,
     ServiceError,
     TokenBucket,
@@ -104,6 +106,29 @@ class TestTokenBucket:
             TokenBucket(rate=0.0, burst=1.0)
         with pytest.raises(ConfigurationError):
             TokenBucket(rate=1.0, burst=-1.0)
+
+
+class TestQuotaRegistry:
+    def test_pruned_replay_matches_unpruned_buckets(self):
+        rng = random.Random(23)
+        registry = QuotaRegistry(rate=2.0, burst=3.0)
+        oracle: dict[str, TokenBucket] = {}
+        now, replay = 0.0, []
+        for _ in range(6000):
+            now += rng.expovariate(400.0)
+            client = f"c{min(rng.randrange(500), rng.randrange(500))}"
+            want = oracle.setdefault(
+                client, TokenBucket(2.0, 3.0)).try_acquire(now)
+            replay.append(want)
+            assert registry.admit(client, now) == want, client
+        assert len(registry._buckets) < len(oracle)
+        assert {granted for granted, _ in replay} == {True, False}
+
+    def test_spaced_clients_leave_bounded_buckets(self):
+        registry = QuotaRegistry(rate=5.0, burst=2.0)
+        for i in range(2000):
+            assert registry.admit(f"client-{i}", float(i)) == (True, 0.0)
+        assert len(registry._buckets) <= 64
 
 
 # -- request validation -------------------------------------------------------

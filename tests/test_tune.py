@@ -466,6 +466,8 @@ class TestCLI:
                      "--top", "3"]) == 0
         out = capsys.readouterr().out
         assert "Pareto frontier [roofline]" in out
+        assert "Pareto frontier [ecm]" in out
+        assert "repro.verify" in out
         assert "priced" in out
 
     def test_tune_json(self, capsys):
