@@ -95,16 +95,12 @@ def find_weak_links(
     """
     if bandwidth_map.ndim != 2 or bandwidth_map.shape[0] != bandwidth_map.shape[1]:
         raise ConfigurationError("bandwidth map must be square")
-    global_median = float(np.nanmedian(bandwidth_map))
-    report = WeakLinkReport()
-    for node in range(bandwidth_map.shape[0]):
-        col = float(np.nanmedian(bandwidth_map[:, node]))
-        row = float(np.nanmedian(bandwidth_map[node, :]))
-        if col < threshold * global_median:
-            report.weak_receivers.append(node)
-        if row < threshold * global_median:
-            report.weak_senders.append(node)
-    return report
+    cut = threshold * float(np.nanmedian(bandwidth_map))
+    return WeakLinkReport(
+        weak_receivers=np.flatnonzero(
+            np.nanmedian(bandwidth_map, axis=0) < cut).tolist(),
+        weak_senders=np.flatnonzero(
+            np.nanmedian(bandwidth_map, axis=1) < cut).tolist())
 
 
 def diagonal_banding_score(bandwidth_map: np.ndarray) -> float:

@@ -40,10 +40,6 @@ class Resource:
     def in_use(self) -> int:
         return self._in_use
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
     def acquire(self) -> Event:
         ev = self.engine.event(label=f"acquire:{self.label}")
         if self._in_use < self.capacity:

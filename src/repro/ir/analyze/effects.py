@@ -83,17 +83,6 @@ class PhaseEffect:
     fractional_comm: tuple  # ((kind, size, neighbors, root, count), mult)
     barriers: Fraction
 
-    @property
-    def is_zero(self) -> bool:
-        return self == _ZERO_EFFECT
-
-
-_ZERO_EFFECT = PhaseEffect(
-    flops=(), pure_bytes=(), mixed=(), fixed_seconds=Fraction(0),
-    serial_seconds=Fraction(0), mem_bytes=Fraction(0), comm=(),
-    fractional_comm=(), barriers=Fraction(0),
-)
-
 
 class _Accumulator:
     def __init__(self, ray_homogeneous: bool = True) -> None:

@@ -65,11 +65,6 @@ def gemm_flops(m: int, k: int, n: int) -> float:
     return 2.0 * m * k * n
 
 
-def gemm_traffic_naive(m: int, k: int, n: int, *, dtype_bytes: int = 8) -> float:
-    """Memory traffic of an unblocked triple loop (B re-read per i-row)."""
-    return dtype_bytes * (m * k + m * k * n / 1.0 + m * n)  # B streamed m times
-
-
 def gemm_traffic_blocked(
     m: int, k: int, n: int, *, block: int, dtype_bytes: int = 8
 ) -> float:

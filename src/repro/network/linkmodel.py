@@ -15,18 +15,30 @@ slow protocol path, and large transfers carry hash-seeded jitter.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.util.rng import derive_seed
 from repro.util.errors import ConfigurationError
 from repro.util.units import KIB, MIB
 
 
-def _unit_hash(seed: int, *path: object) -> float:
-    """Deterministic uniform [0, 1) from a label path."""
-    return (derive_seed(seed, *path) % (2**53)) / float(2**53)
+def _unit_draws(seed: int, tag: str, src: np.ndarray | list[int],
+                dst: np.ndarray | list[int], size: int) -> np.ndarray:
+    """Uniform [0, 1) per (src, dst) lane: ``derive_seed(seed, tag, src,
+    dst, size.bit_length()) % 2**53 / 2**53``, bit for bit.  SHA-256
+    streams its input, so the constant ``"{seed}/{tag}/"`` prefix is
+    hashed once and each lane extends a ``copy()``."""
+    prefix = hashlib.sha256(f"{int(seed)}/{tag}/".encode())
+    tail = f"/{int(size).bit_length()}"
+    src, dst = np.asarray(src).tolist(), np.asarray(dst).tolist()
+    lanes = [prefix.copy() for _ in src]
+    for h, a, b in zip(lanes, src, dst):
+        h.update(f"{a}/{b}{tail}".encode())
+    # a digest's first 8 bytes are every 4th u8 of the 32-byte digests
+    keys = np.frombuffer(b"".join([h.digest() for h in lanes]), "<u8")[::4]
+    return (keys % np.uint64(2**53)).astype(np.float64) / float(2**53)
 
 
 @dataclass(frozen=True)
@@ -48,25 +60,33 @@ class ProtocolModel:
     large_jitter: float = 0.35
     seed: int = 0x70F0
 
-    def factor(self, src: int, dst: int, size: int) -> float:
-        """Deterministic bandwidth multiplier for (pair, size)."""
+    def _draw(self, src: np.ndarray | list[int], dst: np.ndarray | list[int],
+              size: int) -> np.ndarray | None:
+        """Per-lane multipliers inside the draw windows, None outside."""
         if size <= 0:
             raise ConfigurationError("message size must be positive")
         if self.bimodal_lo <= size < self.bimodal_hi:
-            u = _unit_hash(self.seed, "mode", src, dst, size.bit_length())
-            return self.slow_factor if u < self.slow_probability else 1.0
-        if size >= self.large_threshold:
-            u = _unit_hash(self.seed, "jitter", src, dst, size.bit_length())
-            return 1.0 - self.large_jitter * u
-        return 1.0
+            u = _unit_draws(self.seed, "mode", src, dst, size)
+            return np.where(u < self.slow_probability, self.slow_factor, 1.0)
+        if size < self.large_threshold:
+            return None
+        u = _unit_draws(self.seed, "jitter", src, dst, size)
+        return 1.0 - self.large_jitter * u
+
+    def factor(self, src: int, dst: int, size: int) -> float:
+        """Deterministic bandwidth multiplier for (pair, size)."""
+        f = self._draw([src], [dst], size)
+        return 1.0 if f is None else float(f[0])
 
     def factors(self, src: np.ndarray, dst: np.ndarray, size: int) -> np.ndarray:
-        """:meth:`factor` over 1-D pair arrays; per-pair draws only inside
-        the bimodal and large-message windows."""
-        if self.bimodal_lo <= size < self.bimodal_hi or size >= self.large_threshold:
-            return np.array([self.factor(a, b, size)
-                             for a, b in zip(src.tolist(), dst.tolist())])
-        return np.ones(len(src))
+        """:meth:`factor` over equal-length 1-D pair arrays; per-pair draws
+        only inside the bimodal and large-message windows."""
+        src, dst = np.asarray(src), np.asarray(dst)
+        if src.ndim != 1 or dst.shape != src.shape:
+            raise ConfigurationError("pair arrays must be 1-D and of equal "
+                                     f"length, got {src.shape} and {dst.shape}")
+        f = self._draw(src, dst, size)
+        return np.ones(len(src)) if f is None else f
 
 
 #: Protocol behaviour for Intel MPI on OmniPath: no observed bimodality in
@@ -97,35 +117,27 @@ class LinkModel:
         if self.bandwidth <= 0 or self.latency_s < 0:
             raise ConfigurationError("invalid link model parameters")
 
-    def effective_bandwidth(self, size: int, hops: int, src: int = 0, dst: int = 1) -> float:
-        """Bandwidth of the transfer term for one message (B/s)."""
-        if size <= 0:
-            raise ConfigurationError("message size must be positive")
-        ramp = size / (size + self.s_half)
-        proto = self.protocol.factor(src, dst, size)
-        derate = max(0.5, 1.0 - self.hop_bw_derate * max(0, hops - 1))
-        return self.bandwidth * ramp * proto * derate
-
     def p2p_time(self, size: int, hops: int, src: int = 0, dst: int = 1) -> float:
         """One-way time for one message of ``size`` bytes over ``hops``."""
         if hops == 0:
             return self.shm_latency_s + size / self.shm_bandwidth
-        bw = self.effective_bandwidth(size, hops, src, dst)
+        proto = self.protocol.factor(src, dst, size)  # rejects size <= 0
+        ramp = size / (size + self.s_half)
+        derate = max(0.5, 1.0 - self.hop_bw_derate * max(0, hops - 1))
+        bw = self.bandwidth * ramp * proto * derate
         return self.latency_s + hops * self.per_hop_latency_s + size / bw
 
     def p2p_times(self, size: int, hops: np.ndarray, src: np.ndarray,
                   dst: np.ndarray) -> np.ndarray:
         """:meth:`p2p_time` over equal-shape hop and pair arrays, in the
         same expression order (bit-identical lane by lane)."""
-        if size <= 0:
-            raise ConfigurationError("message size must be positive")
+        fabric = hops != 0
+        # factors() rejects size <= 0
+        proto = self.protocol.factors(src[fabric], dst[fabric], size)
         out = np.empty(hops.shape)
-        shm = hops == 0
-        out[shm] = self.shm_latency_s + size / self.shm_bandwidth
-        fabric = ~shm
+        out[~fabric] = self.shm_latency_s + size / self.shm_bandwidth
         h = hops[fabric]
         ramp = size / (size + self.s_half)
-        proto = self.protocol.factors(src[fabric], dst[fabric], size)
         derate = np.maximum(0.5, 1.0 - self.hop_bw_derate * np.maximum(0, h - 1))
         bw = self.bandwidth * ramp * proto * derate
         out[fabric] = self.latency_s + h * self.per_hop_latency_s + size / bw

@@ -124,8 +124,6 @@ class NetworkModel:
         are read from :attr:`faults` at call time (keys outside the
         fabric are ignored); the scalar memo is neither read nor filled.
         """
-        if size <= 0:
-            raise ConfigurationError("message size must be positive")
         src, dst = np.broadcast_arrays(np.asarray(src, dtype=np.int64),
                                        np.asarray(dst, dtype=np.int64))
         hops = self.topology.hops_many(src, dst)

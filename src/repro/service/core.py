@@ -25,6 +25,7 @@ Everything is stdlib + the existing lab; see ``docs/SERVICE.md``.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -487,6 +488,13 @@ class CapacityService:
         except Exception as exc:  # a backend bug: typed, not a dropped reply
             self.failed += 1
             raise ServiceError(500, f"pricing failed: {exc!r}") from exc
+        times = (result.elapsed, *result.phase_seconds.values(),
+                 *result.phase_compute.values(), *result.phase_comm.values())
+        if not all(map(math.isfinite, times)):  # e.g. a subnormal scale
+            self.failed += 1
+            raise ServiceError(
+                422, f"{query.workload} on {query.n_nodes} nodes prices to "
+                f"a non-finite time under overrides {dict(query.overrides)}")
         return encode_result(query, result)
 
     def handle(self, payload: Mapping[str, Any], *,

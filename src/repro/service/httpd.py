@@ -40,7 +40,12 @@ class _Handler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     def _reply(self, status: int, body: dict[str, Any]) -> None:
-        data = json.dumps(body, sort_keys=True).encode()
+        try:  # Infinity and NaN are not JSON
+            data = json.dumps(body, sort_keys=True, allow_nan=False).encode()
+        except ValueError as exc:
+            status = 500
+            body = {"error": f"reply is not JSON: {exc}", "status": 500}
+            data = json.dumps(body).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))

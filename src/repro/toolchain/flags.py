@@ -19,9 +19,6 @@ class FlagSet:
     flags: str
     extra: dict[str, str] = field(default_factory=dict, hash=False)
 
-    def has_flag(self, flag: str) -> bool:
-        return flag in self.flags or any(flag in v for v in self.extra.values())
-
 
 #: Table II — STREAM build configurations.
 STREAM_BUILDS: dict[str, FlagSet] = {

@@ -24,6 +24,11 @@ engine's skip of identity knobs.
 column pass and one Pareto reduction per template and pricing model),
 which the placement-grid engine in :mod:`repro.tune.engine` must equal
 bit for bit.
+
+:func:`protocol_factor_oracle` is the per-lane Fig. 5 protocol draw as it
+was written before :meth:`ProtocolModel.factors` hashed a shared prefix:
+one full :func:`~repro.util.rng.derive_seed` call per (pair, size class),
+scaled to [0, 1) in Python integers and floats.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from repro.network.collectives import CollectiveCosts
 from repro.network.model import network_for
 from repro.toolchain.profiles import default_compiler_for
 from repro.util.errors import ConfigurationError
+from repro.util.rng import derive_seed
 
 _KNOBS = ("compute_scale", "comm_scale", "serial_scale",
           "bandwidth_scale", "rate_scale")
@@ -289,3 +295,21 @@ def tune_oracle(spec) -> tuple[dict, dict]:
         front = pareto_indices(times, energies)
         frontiers[key] = (ids[front], times[front], energies[front])
     return candidates, frontiers
+
+
+def protocol_factor_oracle(protocol, src, dst, size: int) -> float:
+    """Bandwidth multiplier of one (src, dst, size) lane, one
+    ``derive_seed`` per draw."""
+    if size <= 0:
+        raise ConfigurationError("message size must be positive")
+    if protocol.bimodal_lo <= size < protocol.bimodal_hi:
+        tag = "mode"
+    elif size >= protocol.large_threshold:
+        tag = "jitter"
+    else:
+        return 1.0
+    key = derive_seed(protocol.seed, tag, src, dst, size.bit_length())
+    u = (key % (2**53)) / float(2**53)
+    if tag == "mode":
+        return protocol.slow_factor if u < protocol.slow_probability else 1.0
+    return 1.0 - protocol.large_jitter * u

@@ -135,6 +135,25 @@ class TestLinkModel:
         }
         assert factors == {1.0}
 
+    @pytest.mark.parametrize("size", [0, -1, -4 * MIB])
+    def test_factors_reject_nonpositive_size(self, size):
+        pairs = np.arange(4)
+        with pytest.raises(ConfigurationError):
+            ProtocolModel().factors(pairs, pairs[::-1], size)
+        with pytest.raises(ConfigurationError):
+            ProtocolModel().factor(0, 1, size)
+
+    @pytest.mark.parametrize("size", [64, 64 * KIB, 4 * MIB])
+    def test_factors_reject_bad_pair_arrays(self, size):
+        proto = ProtocolModel()
+        flat, grid = np.arange(6), np.arange(6).reshape(2, 3)
+        for src, dst in [(grid, grid), (grid.ravel(), grid),
+                         (np.int64(3), np.int64(4)), (flat, flat[:5])]:
+            with pytest.raises(ConfigurationError):
+                proto.factors(src, dst, size)
+        empty = np.array([], dtype=np.int64)
+        assert proto.factors(empty, empty, size).shape == (0,)
+
     def test_large_message_jitter(self):
         proto = ProtocolModel()
         fs = [proto.factor(a, a + 1, 4 * MIB) for a in range(50)]

@@ -54,6 +54,13 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 #: fast service knobs for tests: a quota no test run can exhaust.
 _FAST = ServiceConfig(quota_rate=1e6, quota_burst=1e6)
 
+#: finite subnormal overrides that pass validation and overflow in pricing
+_OVERFLOWING = [
+    {"workload": "stream", "n_nodes": 1,
+     "overrides": {"bandwidth_scale": 5e-324}},
+    {"workload": "hpcg", "n_nodes": 8, "overrides": {"rate_scale": 5e-324}},
+]
+
 
 def _mixed_queries() -> list[Query]:
     """A representative query mix: benches + apps, both clusters, with
@@ -176,6 +183,16 @@ class TestQueryValidation:
         with CapacityService(_FAST) as svc:
             status, _ = svc.handle({"workload": "hpcg", "n_nodes": 100000})
         assert status == 422
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("payload", _OVERFLOWING)
+    def test_non_finite_price_is_422(self, payload):
+        with CapacityService(_FAST) as svc:
+            status, body = svc.handle(payload)
+            assert svc.stats()["failed"] == 1
+        assert status == 422
+        assert "non-finite" in body["error"]
+        json.dumps(body, allow_nan=False)
 
     def test_unknown_pricing_is_400(self):
         with CapacityService(_FAST) as svc:
@@ -784,6 +801,36 @@ class TestHTTP:
                 return resp.status, json.loads(resp.read())
         except urllib.error.HTTPError as exc:
             return exc.code, json.loads(exc.read())
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("payload", _OVERFLOWING)
+    def test_non_finite_price_is_422_over_http(self, server, payload):
+        import urllib.error
+        import urllib.request
+
+        request = urllib.request.Request(
+            server.url + "/v1/price", data=json.dumps(payload).encode(),
+            headers={"Content-Type": "application/json"}, method="POST")
+        try:
+            with urllib.request.urlopen(request, timeout=10) as resp:
+                status, raw = resp.status, resp.read().decode()
+        except urllib.error.HTTPError as exc:
+            status, raw = exc.code, exc.read().decode()
+        assert status == 422
+        assert "Infinity" not in raw and "NaN" not in raw
+        assert "non-finite" in json.loads(raw)["error"]
+
+    def test_non_finite_reply_body_is_a_typed_500(self):
+        from repro.service import ServiceServer
+
+        class NaNHealth(CapacityService):
+            def health(self):
+                return 200, {"status": "ok", "load": float("nan")}
+
+        with ServiceServer(NaNHealth(_FAST)) as srv:
+            status, body = self._get(srv, "/v1/health")
+        assert status == 500
+        assert "not JSON" in body["error"]
 
     def test_bad_json_is_400(self, server):
         status, body = self._post(server, b"{not json")

@@ -19,6 +19,13 @@ class TestRNG:
         assert derive_seed(1, "x", 2) == derive_seed(1, "x", 2)
         assert derive_seed(1, "x", 2) != derive_seed(1, "x", 3)
 
+    def test_derive_seed_key_scheme_is_pinned(self):
+        # Fig. 5's protocol draws and every seeded sample depend on these
+        # exact values; a change to the key scheme shows up here first.
+        assert derive_seed(0x70F0, "mode", 3, 7, 13) == 16921716065248039483
+        assert derive_seed(0x70F0, "jitter", 191, 0, 23) == 9493020148204080631
+        assert derive_seed(0xA64F, "osu-pairs", 192, 1500) == 7334108066475693049
+
     def test_default_seed(self):
         assert make_rng().normal() == make_rng().normal()
 
