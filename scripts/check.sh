@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Repository gate: lint, type check, tier-1 tests, perfbench tests and a
-# bench smoke.  The engine bit-identity contracts, EXPERIMENTS.md identity
-# and the CLI gates are tier-1 tests (mostly under tests/contracts/), so
-# the one tier-1 pytest run covers them.
+# Repository gate: lint, type check, tier-1 tests and the perfbench tests.
+# The engine bit-identity contracts, EXPERIMENTS.md identity and the CLI
+# gates are tier-1 tests (mostly under tests/contracts/), so the one
+# tier-1 pytest run covers them.
 #
 #     scripts/check.sh            # run everything available
 #     scripts/check.sh --fast     # skip the test suite
@@ -55,10 +55,6 @@ if [ "$fast" -eq 0 ]; then
     # tune, last_run_stats); its own tests pin that contract.
     echo "== perfbench tests =="
     if ! python -m pytest -q perfbench/tests; then
-        status=1
-    fi
-    echo "== bench smoke =="
-    if ! python scripts/bench.py --quick --out "$(mktemp -d)/BENCH_substrate.json" 2>/dev/null; then
         status=1
     fi
 fi

@@ -208,23 +208,6 @@ def main(argv: list[str] | None = None) -> int:
     serve_p.add_argument("--tape-budget-mb", type=float, default=None,
                          help="memory budget for warm compiled tapes "
                          "(default: unbounded)")
-    load_p = sub.add_parser(
-        "loadtest",
-        help="seeded open-loop traffic against the service; reports "
-        "p50/p99 latency, throughput, error rate and the saturation "
-        "point, and writes BENCH_service.json")
-    load_p.add_argument("--url", default=None,
-                        help="base URL of a running `repro-lab serve` "
-                        "(default: drive an in-process service)")
-    load_p.add_argument("--seed", type=int, default=0,
-                        help="schedule seed (default 0; same seed = "
-                        "byte-identical arrival schedule)")
-    load_p.add_argument("--quick", action="store_true",
-                        help="short stages and a coarse saturation sweep "
-                        "(CI smoke mode)")
-    load_p.add_argument("--out", default=None, metavar="FILE",
-                        help="report path (default: BENCH_service.json "
-                        "at the repo root)")
     res_p = sub.add_parser(
         "resilience",
         help="fault-intensity campaign: inject mid-run faults, report "
@@ -349,73 +332,6 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         serve_forever(service, host=args.host, port=args.port)
         return 0
-
-    if args.command == "loadtest":
-        from pathlib import Path
-
-        from repro.service import loadtest_bench, write_bench
-        from repro.service.traffic import (
-            DEFAULT_SCENARIOS,
-            TrafficConfig,
-            run_loadtest,
-            verify_bit_exactness,
-        )
-        from repro.service.core import CapacityService
-
-        try:
-            if args.url is not None:
-                # loadtest a live server; bit-exactness is audited
-                # against a local reference service.
-                stages = (((0.5, 60.0), (0.5, 120.0)) if args.quick
-                          else ((1.0, 100.0), (1.0, 200.0), (1.0, 400.0)))
-                config = TrafficConfig(stages=stages,
-                                       scenarios=DEFAULT_SCENARIOS,
-                                       seed=args.seed)
-                report, samples = run_loadtest(config, url=args.url,
-                                               keep_bodies=True)
-                with CapacityService() as reference:
-                    audit = verify_bit_exactness(samples, reference)
-                payload = {
-                    "config": {
-                        "stages": [list(s) for s in stages],
-                        "scenarios": [s.name for s in DEFAULT_SCENARIOS],
-                        "seed": args.seed,
-                        "n_clients": config.n_clients,
-                    },
-                    "loadtest": report.to_dict(),
-                    "bit_exact_vs_run_batch": audit,
-                    "saturation": None,
-                    "url": args.url,
-                }
-            else:
-                payload = loadtest_bench(quick=args.quick, seed=args.seed)
-        except ConfigurationError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        out = Path(args.out) if args.out else (
-            Path(__file__).resolve().parents[3] / "BENCH_service.json")
-        write_bench(payload, out)
-        summary = payload["loadtest"]
-        lat = summary["latency_ms"]
-        print(f"offered {summary['offered']} queries, completed "
-              f"{summary['completed']}, rejected {summary['rejected']}, "
-              f"errors {summary['errors']}")
-        print(f"latency p50 {lat['p50']:.2f} ms, p99 {lat['p99']:.2f} ms; "
-              f"throughput {summary['throughput_rps']:.0f} q/s; "
-              f"error rate {summary['error_rate']:.3f}")
-        sat = payload.get("saturation")
-        if sat:
-            print("saturation point: "
-                  + (f"{sat['saturation_rps']:.0f} q/s offered"
-                     if sat["saturation_rps"] is not None
-                     else "not reached")
-                  + (f" (max sustained {sat['max_sustained_rps']:.0f} q/s)"
-                     if sat["max_sustained_rps"] is not None else ""))
-        audit = payload["bit_exact_vs_run_batch"]
-        print(f"bit-exact vs direct run_batch: {audit['checked']} checked, "
-              f"{audit['mismatches']} mismatches")
-        print(f"wrote {out}")
-        return 0 if audit["identical"] else 1
 
     if args.command == "resilience":
         from repro.resilience import resilience_campaign

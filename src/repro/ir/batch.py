@@ -139,11 +139,15 @@ def validate_overrides(
     for key, value in out.items():
         if isinstance(value, bool) or not isinstance(value, Real):
             raise ConfigurationError(f"override {key!r} must be a number")
-        if not (math.isfinite(value) and value > 0):
+        try:
+            scale = float(value)
+        except OverflowError:  # an integer beyond the float range
+            scale = math.inf
+        if not (math.isfinite(scale) and scale > 0):
             raise ConfigurationError(
                 f"override {key!r} must be finite and positive, "
-                f"got {value!r}")
-        out[key] = float(value)
+                f"got {scale!r}")
+        out[key] = scale
     return out
 
 # row kind codes (structural)

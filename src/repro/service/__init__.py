@@ -3,9 +3,9 @@
 A long-running server answering "price workload W on cluster C at N
 nodes with overrides O" through the batched analytic substrate, with
 admission batching, per-client token-bucket quotas, and a byte-budgeted
-warm-tape cache; paired with a seeded open-loop traffic harness and a
-latency/throughput reporter.  ``repro-lab serve`` / ``repro-lab
-loadtest`` are the CLI entry points.
+warm-tape cache; paired with the request shapes load generators draw
+from and the served ≡ direct audit.  ``repro-lab serve`` is the CLI
+entry point.
 """
 
 from repro.service.core import (
@@ -22,18 +22,8 @@ from repro.service.httpd import ServiceServer, serve_forever
 from repro.service.traffic import (
     DEFAULT_SCENARIOS,
     Arrival,
-    Report,
     Scenario,
-    TrafficConfig,
-    arrival_schedule,
-    find_saturation,
-    loadtest_bench,
-    ramp_stages,
-    run_loadtest,
-    schedule_digest,
     verify_bit_exactness,
-    virtual_report,
-    write_bench,
 )
 
 __all__ = [
@@ -43,22 +33,12 @@ __all__ = [
     "DEFAULT_SCENARIOS",
     "Query",
     "QuotaRegistry",
-    "Report",
     "Scenario",
     "ServiceConfig",
     "ServiceError",
     "ServiceServer",
     "TokenBucket",
-    "TrafficConfig",
-    "arrival_schedule",
     "encode_result",
-    "find_saturation",
-    "loadtest_bench",
-    "ramp_stages",
-    "run_loadtest",
-    "schedule_digest",
     "serve_forever",
     "verify_bit_exactness",
-    "virtual_report",
-    "write_bench",
 ]

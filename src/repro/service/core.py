@@ -63,6 +63,10 @@ __all__ = [
 CLUSTER_MEMO_ENTRIES = 64
 PROGRAM_MEMO_ENTRIES = 1024
 
+#: largest ``steps`` a query may ask for; the tape's loop multiplicities
+#: are int64 columns, and a billion steps is far past any capacity question.
+MAX_STEPS = 10**9
+
 
 class ServiceError(Exception):
     """A request-level failure carrying its HTTP-style status code."""
@@ -115,8 +119,10 @@ class Query:
                 or n_nodes < 1:
             raise ServiceError(400, "n_nodes must be a positive integer")
         steps = payload.get("steps", 1)
-        if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
-            raise ServiceError(400, "steps must be a positive integer")
+        if not isinstance(steps, int) or isinstance(steps, bool) \
+                or not 1 <= steps <= MAX_STEPS:
+            raise ServiceError(
+                400, f"steps must be an integer in [1, {MAX_STEPS}]")
         raw = payload.get("overrides", {})
         if not isinstance(raw, Mapping):
             raise ServiceError(400, "overrides must be an object")
@@ -376,10 +382,9 @@ class CapacityService:
     """The capacity-planning server core (transport-agnostic).
 
     ``handle(request) -> (status, body)`` is the whole API; the HTTP
-    front end (:mod:`repro.service.httpd`) and the traffic harness
-    (:mod:`repro.service.traffic`) both drive it.  The clock is
-    injectable per call, so quota decisions under a seeded schedule are
-    deterministic.
+    front end (:mod:`repro.service.httpd`) drives it, and tests call it
+    directly.  The clock is injectable per call, so quota decisions
+    under a seeded schedule are deterministic.
     """
 
     def __init__(self, config: ServiceConfig | None = None, *,

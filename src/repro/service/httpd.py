@@ -36,7 +36,7 @@ class _Handler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True  # body must not wait on a delayed ACK
 
     def log_message(self, format: str, *args: Any) -> None:
-        if self.server.verbose:  # quiet by default (tests, loadtests)
+        if self.server.verbose:  # quiet by default (tests, load generators)
             super().log_message(format, *args)
 
     def _reply(self, status: int, body: dict[str, Any]) -> None:

@@ -10,7 +10,7 @@ feed :meth:`repro.machine.core.CoreModel.sustained_flops`.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Mapping
 
@@ -77,8 +77,14 @@ class CompilerProfile:
 
     @cached_property
     def fingerprint(self) -> bytes:
-        """Digest of the frozen tree's repr, once per object (batch keys)."""
-        return hashlib.sha256(repr(self).encode()).digest()
+        """Digest of the frozen tree's content, once per object (batch
+        keys).  A function's repr carries its memory address, so each
+        ``failures`` factory enters by its qualified name instead."""
+        failures = tuple(sorted(
+            (app, f"{fn.__module__}.{fn.__qualname__}")
+            for app, fn in self.failures.items()))
+        content = replace(self, failures=failures)  # type: ignore[arg-type]
+        return hashlib.sha256(repr(content).encode()).digest()
 
     def vectorization(self, kernel: KernelClass) -> VectorizationResult:
         """Vectorization outcome for a kernel class (scalar if unknown)."""

@@ -341,48 +341,6 @@ def defect_cases(draw) -> DefectCase:
 
 
 @st.composite
-def traffic_configs(draw, *, max_stages: int = 3,
-                    max_rate_hz: float = 200.0):
-    """Draw a reproducible open-loop traffic shape for the service
-    harness (:mod:`repro.service.traffic`).
-
-    Scenario workloads are synthetic labels — schedule generation never
-    resolves them, so the determinism/monotonicity/mix properties run
-    without pricing anything.  Rates may be zero (a silent stage is a
-    legal ramp segment the hazard inversion must skip).
-    """
-    from repro.service.traffic import Scenario, TrafficConfig
-
-    n_stages = draw(st.integers(1, max_stages))
-    stages = tuple(
-        (
-            draw(st.sampled_from((0.25, 0.5, 1.0, 2.0))),
-            draw(st.sampled_from((0.0, 5.0, 25.0, 80.0, max_rate_hz))),
-        )
-        for _ in range(n_stages)
-    )
-    # at least one stage must offer load or every schedule is empty
-    if all(rate == 0.0 for _, rate in stages):
-        stages = stages[:-1] + ((stages[-1][0], 25.0),)
-    n_scenarios = draw(st.integers(1, 4))
-    scenarios = tuple(
-        Scenario(
-            name=f"s{i}",
-            workload=f"synthetic-{i}",
-            n_nodes=draw(st.sampled_from((1, 4, 16))),
-            weight=draw(st.sampled_from((0.5, 1.0, 2.0, 4.0))),
-        )
-        for i in range(n_scenarios)
-    )
-    return TrafficConfig(
-        stages=stages,
-        scenarios=scenarios,
-        n_clients=draw(st.integers(1, 4)),
-        seed=draw(st.integers(0, 2**32 - 1)),
-    )
-
-
-@st.composite
 def fault_schedules(draw, *, n_nodes: int, horizon: float = 0.02,
                     allow_crash: bool = True,
                     max_events: int = 4) -> FaultSchedule:

@@ -73,6 +73,7 @@ class TestTable4:
         assert by[("LINPACK", 1)].speedup == pytest.approx(1.25, abs=0.04)
         assert by[("LINPACK", 192)].speedup == pytest.approx(1.40, abs=0.04)
         assert by[("HPCG", 1)].speedup == pytest.approx(2.50, abs=0.15)
+        assert by[("HPCG", 192)].speedup == pytest.approx(3.24, abs=0.20)
         assert by[("Alya", 16)].speedup == pytest.approx(0.30, abs=0.04)
         assert by[("NEMO", 16)].speedup == pytest.approx(0.56, abs=0.08)
         assert by[("Gromacs", 1)].speedup == pytest.approx(0.32, abs=0.06)

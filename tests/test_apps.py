@@ -11,6 +11,7 @@ from repro.apps import (
     WRFModel,
     get_app,
 )
+from repro.analysis.scaling import flattening_point
 from repro.apps.base import CommOp
 from repro.network.collectives import CollectiveCosts
 from repro.network.model import network_for
@@ -82,16 +83,38 @@ class TestPaperRatios:
         app = AlyaModel()
         match = app.nodes_to_match(arm, mn4, 12, max_nodes=78)
         assert match is not None and abs(match - 44) <= 6
+        mn4_12 = app.time_step(mn4, 12).total
+        assert app.time_step(arm, 44).total <= 1.1 * mn4_12
+        assert app.time_step(arm, 32).total > mn4_12
+
+    def test_alya_phase_crossover_nodes(self, arm, mn4):
+        """~62 CTE-Arm nodes match 12 MN4 nodes in Assembly, ~22 in Solver."""
+        app = AlyaModel()
+        mn4_12 = app.time_step(mn4, 12).phase_seconds
+        assert app.time_step(arm, 62).phase_seconds["assembly"] \
+            <= 1.1 * mn4_12["assembly"]
+        assert app.time_step(arm, 22).phase_seconds["solver"] \
+            <= 1.1 * mn4_12["solver"]
 
     def test_nemo_ratio_band(self, arm, mn4):
         app = NemoModel()
         r = app.time_step(arm, 8).total / app.time_step(mn4, 8).total
         assert 1.6 < r < 1.95
 
+    def test_nemo_flattens_at_scale(self, arm):
+        app = NemoModel()
+        nodes = [8, 16, 32, 64, 128, 192]
+        flat = flattening_point(nodes,
+                                [app.time_step(arm, n).total for n in nodes])
+        assert flat is not None and flat >= 96  # paper: ~128 nodes
+
     def test_gromacs_single_node_ratio(self, arm, mn4):
         app = GromacsModel()
         r = app.days_per_ns(arm, 1) / app.days_per_ns(mn4, 1)
         assert 2.7 < r < 3.6
+        arm_d = dict(app.single_node_sweep(arm))
+        mn4_d = dict(app.single_node_sweep(mn4))
+        assert 2.7 < arm_d[6] / mn4_d[6] < 3.7  # paper: 3.48x at 6 cores
 
     def test_gromacs_gap_shrinks_with_scale(self, arm, mn4):
         app = GromacsModel()
@@ -117,6 +140,13 @@ class TestPaperRatios:
         assert 2.9 < r32 < 3.9  # paper 3.55
         assert 2.2 < r128 < 2.95  # paper 2.56
         assert r128 < r32  # the gap narrows at scale
+
+    def test_openifs_single_node_ratios(self, arm, mn4):
+        app = OpenIFSModel("TL255L91")
+        arm_s = dict(app.single_node_sweep(arm))
+        mn4_s = dict(app.single_node_sweep(mn4))
+        assert 3.0 < arm_s[8] / mn4_s[8] < 4.0  # paper: 3.72x at 8 ranks
+        assert 2.9 < arm_s[48] / mn4_s[48] < 3.8  # paper: 3.28x full node
 
     def test_wrf_ratio_roughly_flat(self, arm, mn4):
         app = WRFModel()

@@ -23,6 +23,7 @@ from repro.bench.linpack import (
 from repro.bench.osu import (
     bandwidth_distribution,
     diagonal_banding_score,
+    fig5_data,
     find_weak_links,
 )
 from repro.bench.stream_bench import (
@@ -34,7 +35,8 @@ from repro.bench.stream_bench import (
 from repro.machine import cte_arm
 from repro.network import network_for
 from repro.util.errors import ConfigurationError
-from repro.util.units import KIB
+from repro.util.stats import is_bimodal
+from repro.util.units import KIB, MIB
 
 
 class TestFig1:
@@ -46,6 +48,11 @@ class TestFig1:
 
     def test_all_near_peak(self):
         assert all(r.percent_of_peak > 95 for r in fig1_data())
+
+    def test_a64fx_vector_double_rate(self):
+        r = next(r for r in fig1_data() if r.cluster == "CTE-Arm"
+                 and r.mode.value == "vector" and r.dtype.name == "DOUBLE")
+        assert 69.0 < r.sustained_flops / 1e9 < 70.4
 
     def test_a64fx_vector_hierarchy(self, arm):
         by = {(r.mode.value, r.dtype.name): r for r in run_fpu_ukernel(arm)}
@@ -132,6 +139,8 @@ class TestFig4and5:
     def test_weak_node_in_full_map(self, arm):
         net = network_for(arm)
         m = pairwise_bandwidth_map(net, size=256)
+        assert m.shape == (192, 192)
+        assert np.all(np.isnan(np.diag(m)))
         report = find_weak_links(m)
         assert report.weak_receivers == [107]
         assert report.weak_senders == []
@@ -141,6 +150,17 @@ class TestFig4and5:
                                        max_pairs=400)
         medians = [np.median(dists[s]) for s in (256, 4 * KIB, 256 * KIB)]
         assert medians == sorted(medians)
+
+    def test_fig5_bimodal_window_and_large_message_spread(self):
+        dists = fig5_data(max_pairs=1000)
+        assert len(dists) == 25  # 2^0 .. 2^24
+        mid = [s for s in dists if 1 * KIB <= s < 256 * KIB
+               and is_bimodal(dists[s] / 1e6)]
+        assert len(mid) >= 4
+        big = dists[16 * MIB] / 1e6
+        spread = (np.percentile(big, 95) - np.percentile(big, 5)) \
+            / np.median(big)
+        assert spread > 0.2
 
     def test_distribution_subsample_deterministic(self, small_net):
         a = bandwidth_distribution(small_net, sizes=[1024], max_pairs=100)
@@ -166,6 +186,8 @@ class TestFig6:
         assert hpl_efficiency(arm, 1) == pytest.approx(0.90, abs=0.005)
         assert hpl_efficiency(arm, 192) == pytest.approx(0.85, abs=0.01)
         assert hpl_efficiency(mn4, 192) == pytest.approx(0.636, abs=0.01)
+        assert linpack_point(mn4, 192).percent_of_peak == pytest.approx(
+            63.0, abs=1.5)
 
     def test_speedups_at_endpoints(self, arm, mn4):
         s1 = linpack_point(arm, 1).gflops / linpack_point(mn4, 1).gflops

@@ -197,5 +197,6 @@ class TestClusterAndPresets:
     def test_table1_renders_key_rows(self):
         text = table1().render()
         for expected in ("70.40", "67.20", "3379.20", "3225.60", "TofuD",
-                         "Intel OmniPath", "HBM", "DDR4-2666", "192", "3456"):
+                         "Intel OmniPath", "HBM", "DDR4-2666", "192", "3456",
+                         "1024 GB/s", "256 GB/s"):
             assert expected in text

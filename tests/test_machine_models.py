@@ -14,6 +14,8 @@ Three contracts:
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 from hypothesis import given, settings
 
@@ -247,6 +249,29 @@ class TestECM:
 
         roof, ecm = pricing_points(marenostrum4(192), 8)
         assert ecm.seconds > roof.seconds * 1.15
+
+    @pytest.mark.parametrize("bench", ["spmv", "qcd"])
+    def test_bench_kernels_never_below_roofline(self, bench):
+        """The spmv/qcd node sweep on both paper clusters."""
+        module = importlib.import_module(f"repro.bench.{bench}")
+        for cluster in (cte_arm(192), marenostrum4(192)):
+            for n in (1, 2, 4, 8, 16, 32, 64):
+                roof, ecm = module.pricing_points(cluster, n)
+                assert ecm.seconds >= roof.seconds, (cluster.name, n)
+
+    @pytest.mark.parametrize("bench", ["spmv", "qcd"])
+    def test_bench_kernels_batch_matches_scalar_oracle(self, bench):
+        """Batched ECM pricing of the bench programs equals the scalar
+        oracle walk bit-for-bit (model identity is part of the cache key)."""
+        module = importlib.import_module(f"repro.bench.{bench}")
+        for cluster in (cte_arm(192), marenostrum4(192)):
+            program = module.ir_program(cluster, 16)
+            scalar = analytic_oracle(program, cluster, 16, check_memory=False,
+                                     pricing="ecm")
+            batched = BatchAnalyticBackend().run(program, cluster, 16,
+                                                 check_memory=False,
+                                                 pricing="ecm")
+            assert batched.elapsed == scalar.elapsed, cluster.name
 
 
 class TestBatchCacheIdentity:

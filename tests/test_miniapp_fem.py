@@ -30,6 +30,7 @@ class TestFEMMiniapp:
         res = _world(arm_small, 4).run(fem_miniapp, cells=3)
         total = sum(r["my_elements"] for r in res.rank_results)
         assert total == 27 * 6  # every tetrahedron assembled exactly once
+        assert res.rank_results[0]["residual"] < 1e-7  # default tolerance
 
     def test_both_phases_traced(self, arm_small):
         res = _world(arm_small, 2).run(fem_miniapp, cells=3)

@@ -9,7 +9,7 @@ from repro.util.errors import ConfigurationError
 
 
 class TestLUMiniapp:
-    @pytest.mark.parametrize("p,n", [(2, 32), (4, 32), (8, 64)])
+    @pytest.mark.parametrize("p,n", [(2, 32), (4, 32), (4, 48), (8, 64)])
     def test_solution_matches_numpy(self, arm_small, p, n):
         world = World(RankMapping(arm_small, n_nodes=min(p, 4),
                                   ranks_per_node=-(-p // min(p, 4))))
@@ -41,7 +41,7 @@ class TestLUMiniapp:
 
 
 class TestFFTTransposeMiniapp:
-    @pytest.mark.parametrize("p,n", [(2, 16), (4, 32), (8, 64)])
+    @pytest.mark.parametrize("p,n", [(2, 16), (4, 32), (4, 64), (8, 64)])
     def test_matches_fft2(self, arm_small, p, n):
         world = World(RankMapping(arm_small, n_nodes=min(p, 4),
                                   ranks_per_node=-(-p // min(p, 4))))

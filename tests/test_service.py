@@ -24,6 +24,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ir import Program, Phase, ComputeOp
 from repro.ir.batch import (
@@ -42,12 +44,12 @@ from repro.service import (
     ServiceConfig,
     ServiceError,
     TokenBucket,
-    TrafficConfig,
-    arrival_schedule,
     encode_result,
 )
 from repro.service.traffic import Scenario
 from repro.util.errors import ConfigurationError
+
+from .contracts.test_served_direct import send
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -161,6 +163,8 @@ class TestQueryValidation:
          "overrides": {"compute_scale": float("inf")}},
         {"workload": "nemo", "client": ""},
         {"workload": "nemo", "surprise": 1},
+        {"workload": "gromacs", "steps": 2**63},
+        {"workload": "stream", "overrides": {"rate_scale": 10**400}},
     ])
     def test_malformed_rejected_with_400(self, payload):
         with pytest.raises(ServiceError) as err:
@@ -214,6 +218,112 @@ class TestQueryValidation:
                                        "pricing": "ecm"})
             assert status == 200
             assert body["pricing"] == "ecm"
+
+
+# -- the HTTP boundary: any request body gets a typed reply -------------------
+
+#: JSON values of the wrong type for any field
+_junk = (st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+         | st.lists(st.integers(), max_size=2)
+         | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+#: the whole float range (NaN, ±inf, subnormals, 1e308 and its
+#: neighbours) and integers past it
+_scales = (st.floats() | st.sampled_from(
+    [5e-324, 2.2e-308, 1e-200, 1e200, 1e308, 1.7976931348623157e308])
+    | st.integers(-2**70, 2**70) | st.integers(2**1024, 2**1100))
+_KNOBS = ("compute_scale", "comm_scale", "serial_scale", "bandwidth_scale",
+          "rate_scale")
+#: a well-formed request: every field optional except the workload
+_VALID = {
+    "workload": st.sampled_from(["stream", "hpcg", "osu", "linpack", "qcd",
+                                 "nemo", "gromacs", "wrf", "alya"]),
+    "cluster": st.sampled_from(["cte-arm", "mn4", "thunderx2", "fugaku"]),
+    "n_nodes": st.integers(1, 200),
+    "steps": st.integers(1, 4),
+    "overrides": (
+        st.dictionaries(st.sampled_from(_KNOBS), _scales, max_size=3)
+        # pairs that overflow (or underflow) together
+        | st.fixed_dictionaries({
+            "compute_scale": st.sampled_from([5e-324, 1e-308, 1e308]),
+            "rate_scale": st.sampled_from([5e-324, 1e-308, 1e308]),
+            "bandwidth_scale": st.sampled_from([5e-324, 1e308])})),
+    "client": st.text(min_size=1, max_size=4),
+    "pricing": st.sampled_from(["roofline", "ecm", "ECM"]),
+}
+#: per field: wrong types, unknown names, out-of-range counts
+_HOSTILE = {
+    "workload": st.sampled_from(["no-such-app", ""]) | st.text(max_size=6)
+    | _junk,
+    "cluster": st.sampled_from(["nowhere", ""]) | _junk,
+    "n_nodes": st.integers(-2, 0) | st.integers(2**31, 2**80) | _junk,
+    "steps": st.integers(-2, 0) | st.integers(2**31, 2**80) | _junk,
+    "overrides": st.dictionaries(st.text(max_size=5), _scales | _junk,
+                                 max_size=2) | _junk,
+    "client": _junk,
+    "pricing": st.just("wat") | _junk,
+}
+
+
+@st.composite
+def _requests(draw) -> dict:
+    """A valid request with up to two fields made hostile."""
+    request = {field: draw(values) for field, values in _VALID.items()
+               if field == "workload" or draw(st.booleans())}
+    for field in draw(st.lists(st.sampled_from(sorted(_HOSTILE)),
+                               max_size=2, unique=True)):
+        request[field] = draw(_HOSTILE[field])
+    return request
+
+
+_payloads = (_requests() | _requests() | _requests()
+             | st.dictionaries(st.text(max_size=6), _junk, max_size=3)
+             | _junk | st.lists(_junk, max_size=3))
+
+#: a few of the same hostile shapes, sent over HTTP
+_HOSTILE_BODIES = [
+    json.dumps([1, 2]),
+    json.dumps({"workload": "nemo", "n_nodes": 2**80}),
+    json.dumps({"workload": "gromacs", "steps": 2**63}),
+    '{"workload": "stream", "overrides": {"rate_scale": 1%s}}' % ("0" * 400),
+    json.dumps({"workload": "stream", "overrides": {"rate_scale": 1e308,
+                                                   "compute_scale": 1e-308}}),
+    '{"workload": "hpcg", "overrides": {"comm_scale": NaN}}',
+    '{"workload": "hpcg", "n_nodes": 8, "cluster": "nowhere"}',
+    '{"workload": "hpcg", "n_nodes": 8',  # truncated body
+]
+
+
+def _assert_typed(status: int, body: dict) -> None:
+    assert status in (200, 400, 404, 422, 429), (status, body)
+    json.dumps(body, allow_nan=False)
+    if status != 200:
+        assert body["status"] == status and isinstance(body["error"], str)
+
+
+class TestBoundary:
+    @pytest.fixture(scope="class")
+    def service(self):
+        with CapacityService(_FAST) as svc:
+            yield svc
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @settings(max_examples=300, deadline=None)
+    @given(payload=_payloads)
+    def test_any_payload_gets_a_typed_reply(self, service, payload):
+        _assert_typed(*service.handle(payload))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_hostile_bodies_over_http(self):
+        from repro.service import ServiceServer
+
+        bodies = [body.encode() for body in _HOSTILE_BODIES]
+        with ServiceServer(CapacityService(_FAST)) as server:
+            replies = send(server.url, bodies, workers=2)
+        with CapacityService(_FAST) as direct:
+            for raw, (status, body) in zip(_HOSTILE_BODIES[:-1], replies):
+                _assert_typed(status, body)
+                assert status == direct.handle(json.loads(raw))[0], raw
+        assert replies[-1][0] == 400 and "JSON" in replies[-1][1]["error"]
 
 
 # -- the concurrency suite ----------------------------------------------------
@@ -565,18 +675,21 @@ class TestQuotaDeterminism:
     def _statuses(self, schedule) -> list[int]:
         config = ServiceConfig(quota_rate=20.0, quota_burst=5.0)
         with CapacityService(config) as svc:
-            return [
-                svc.handle(a.scenario.query(a.client).to_request(),
-                           now=a.t)[0]
-                for a in schedule
-            ]
+            return [svc.handle(query.to_request(), now=t)[0]
+                    for t, query in schedule]
 
     def test_rejections_pure_function_of_schedule(self):
+        """A seeded Poisson schedule (150 Hz for 0.5 s, two clients) is
+        the quota clock: replaying it gives the same statuses."""
         mix = (Scenario("cheap", "stream", "cte-arm", 1),
                Scenario("mid", "hpcg", "cte-arm", 8))
-        config = TrafficConfig(stages=((0.5, 150.0),), scenarios=mix,
-                               n_clients=2, seed=11)
-        schedule = arrival_schedule(config)
+        rng = random.Random(11)
+        schedule = []
+        t = rng.expovariate(150.0)
+        while t < 0.5:
+            client = f"client-{rng.randrange(2)}"
+            schedule.append((t, rng.choice(mix).query(client)))
+            t += rng.expovariate(150.0)
         assert len(schedule) > 30
         first = self._statuses(schedule)
         second = self._statuses(schedule)

@@ -155,6 +155,15 @@ class TestCollectives:
         expected = p * (p - 1) / 2
         assert all(v == expected for v in res.rank_results)
 
+    def test_allreduce_64_ranks_advances_the_clock(self, arm_small):
+        world = World(RankMapping(arm_small, n_nodes=8, ranks_per_node=8))
+
+        def program(comm):
+            for _ in range(5):
+                yield from comm.allreduce(VirtualPayload(8))
+
+        assert world.run(program).elapsed > 0
+
     def test_allreduce_max_min(self, small_world):
         def program(comm):
             mx = yield from comm.allreduce(np.array([comm.rank]), op=ReduceOp.MAX)

@@ -1,5 +1,10 @@
 """Toolchain models: profiles, build failures, sustained rates, flag tables."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.machine.isa import DType
@@ -35,6 +40,22 @@ class TestProfiles:
         assert get_compiler("Intel/2018.4") is INTEL_2018_4
         with pytest.raises(KeyError):
             get_compiler("Cray/12")
+
+    def test_fingerprint_is_a_content_key(self):
+        """The same profile digests the same in two fresh interpreters
+        with different hash seeds (no memory address leaks in)."""
+        script = ("from repro.toolchain import COMPILERS\n"
+                  "for label in sorted(COMPILERS):\n"
+                  "    print(label, COMPILERS[label].fingerprint.hex())\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            out = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.append(out.stdout.splitlines())
+        assert len(digests[0]) == len(COMPILERS) == 8
+        assert digests[0] == digests[1]
 
     def test_unknown_kernel_is_scalar(self):
         assert GNU_8_3_1_SVE.vectorization(K.IO) is SCALAR_ONLY
@@ -141,13 +162,18 @@ class TestDefaultsAndTables:
         assert apps == {"alya", "nemo", "gromacs", "openifs", "wrf"}
 
     def test_table2_flags_verbatim(self):
-        text = table2().render()
+        table = table2()
+        assert len(table.rows) == 4
+        text = table.render()
         assert "-Kzfill=100" in text
+        assert "-O3 -xHost" in text
         assert "-Kprefetch_sequential=soft" in text
         assert "-qopenmp-link=static" in text
 
     def test_table3_flags_verbatim(self):
-        text = table3().render()
+        table = table3()
+        assert len(table.rows) == 10
+        text = table.render()
         assert "-msve-vector-bits=512" in text
         assert "-xCORE-AVX512" in text
         assert "Fujitsu/1.1.18" in text  # Alya's MPI flavour on CTE-Arm
