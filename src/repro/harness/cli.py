@@ -14,23 +14,8 @@ import argparse
 import sys
 
 from repro.harness.experiment import REGISTRY, list_experiments, run_experiment
+from repro.harness.report import _PAPER_ORDER, _ordered_experiments
 from repro.util.errors import ConfigurationError
-
-
-#: paper order: Tables I-III, Figs. 1-16, Table IV, then the extensions.
-_PAPER_ORDER = [
-    "table1_hardware", "fig1_fpu", "table2_stream_builds",
-    "fig2_stream_openmp", "fig3_stream_hybrid", "fig4_netmap", "fig5_netdist",
-    "fig6_linpack", "fig7_hpcg", "table3_app_builds", "fig8_alya",
-    "fig9_alya_assembly", "fig10_alya_solver", "fig11_nemo",
-    "fig12_gromacs_node", "fig13_gromacs_multi", "fig14_openifs_node",
-    "fig15_openifs_multi", "fig16_wrf", "table4_speedups",
-]
-
-
-def _ordered_experiments() -> list[str]:
-    rest = sorted(set(list_experiments()) - set(_PAPER_ORDER))
-    return _PAPER_ORDER + rest
 
 
 def _render_experiments_md() -> str:
@@ -467,14 +452,6 @@ def main(argv: list[str] | None = None) -> int:
             if exp_id not in REGISTRY:
                 print(f"unknown experiment {exp_id!r}", file=sys.stderr)
                 return 2
-        if args.des_shards is not None and args.des_shards < 1:
-            print(f"--des-shards must be >= 1, got {args.des_shards}",
-                  file=sys.stderr)
-            return 2
-        if args.des_shard_workers is not None and args.des_shard_workers < 0:
-            print("--des-shard-workers must be >= 0, got "
-                  f"{args.des_shard_workers}", file=sys.stderr)
-            return 2
         try:
             with using(current().derive(
                     backend=args.backend, pricing=args.pricing,

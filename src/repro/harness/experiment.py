@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from repro.util.errors import ConfigurationError
 from repro.util.tables import Table
@@ -11,13 +13,19 @@ from repro.util.tables import Table
 
 @dataclass(frozen=True)
 class Expectation:
-    """One paper-vs-measured comparison line."""
+    """One paper-vs-measured comparison line.
+
+    ``claim`` is the :class:`~repro.harness.paper_claims.PaperClaim` id
+    this line checks ("" for none); it is neither rendered nor part of
+    ``to_dict``.
+    """
 
     metric: str
     paper: str
     measured: str
     holds: bool = True
     note: str = ""
+    claim: str = ""
 
     def render(self) -> str:
         mark = "ok " if self.holds else "DEV"
@@ -27,6 +35,43 @@ class Expectation:
         return line
 
 
+@dataclass(frozen=True, eq=False)
+class Figure:
+    """One paper figure as numbers.  ``ExperimentResult.render`` draws it
+    in ASCII and ``repro-lab figures`` draws the same record as SVG.
+
+    ``kind`` selects the data fields:
+
+    - ``line``: ``series`` maps a name to its ``(x, y)`` points;
+    - ``bars``: ``series`` maps a name to one value per ``groups`` entry,
+      and ``labels`` optionally maps a name to one text per bar;
+    - ``heatmap``: ``matrix`` is a 2-D array.
+    """
+
+    kind: str
+    title: str
+    xlabel: str = ""
+    ylabel: str = ""
+    logx: bool = False
+    logy: bool = False
+    series: Mapping[str, Sequence] = field(default_factory=dict)
+    groups: Sequence[str] = ()
+    labels: Mapping[str, Sequence[str]] = field(default_factory=dict)
+    matrix: np.ndarray | None = None
+
+    def ascii(self) -> str | None:
+        """Terminal drawing; ``None`` for grouped bars (no ASCII drawer)."""
+        from repro.util.asciiplot import ascii_heatmap, ascii_line_plot
+
+        if self.kind == "line":
+            return ascii_line_plot(self.series, title=self.title,
+                                   xlabel=self.xlabel, ylabel=self.ylabel,
+                                   logx=self.logx, logy=self.logy)
+        if self.kind == "heatmap":
+            return ascii_heatmap(self.matrix, title=self.title)
+        return None
+
+
 @dataclass
 class ExperimentResult:
     """Everything one experiment produced."""
@@ -34,7 +79,7 @@ class ExperimentResult:
     exp_id: str
     title: str
     table: Table | None = None
-    ascii_art: str | None = None
+    figure: Figure | None = None
     expectations: list[Expectation] = field(default_factory=list)
     notes: str = ""
 
@@ -42,8 +87,9 @@ class ExperimentResult:
         parts = [f"== {self.exp_id}: {self.title} =="]
         if self.table is not None:
             parts.append(self.table.render())
-        if include_figure and self.ascii_art:
-            parts.append(self.ascii_art)
+        art = self.figure.ascii() if include_figure and self.figure else None
+        if art:
+            parts.append(art)
         if self.expectations:
             parts.append("Paper vs measured:")
             parts.extend("  " + e.render() for e in self.expectations)
@@ -85,8 +131,6 @@ class ExperimentResult:
 
 def _jsonable(value):
     """Coerce table cells to JSON-native types."""
-    import numpy as np
-
     if isinstance(value, (np.bool_,)):
         return bool(value)
     if isinstance(value, (np.integer,)):

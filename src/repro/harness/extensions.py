@@ -113,6 +113,7 @@ def exp_vectorization() -> ExperimentResult:
             "aggressive SVE vectorization closes most of the Alya gap",
             "0.30 -> approaching 1", f"{rows[0][1]:.2f} -> {rows[-1][1]:.2f}",
             holds=rows[-1][1] > 2.2 * rows[0][1],
+            claim="vi-vectorize",
         ),
         Expectation("speedup monotone in vectorization quality", "monotone",
                     "monotone",
@@ -148,7 +149,7 @@ def exp_scalar_ooo() -> ExperimentResult:
     exps = [
         Expectation("a Skylake-class scalar core would halve the gap",
                     "0.46 -> ~0.8", f"{rows[1][1]:.2f} -> {rows[-1][1]:.2f}",
-                    holds=rows[-1][1] > 1.5 * rows[1][1]),
+                    holds=rows[-1][1] > 1.5 * rows[1][1], claim="vi-scalar"),
     ]
     return ExperimentResult("ext_scalar_ooo", "Scalar-OOO ablation", table=t,
                             expectations=exps)
@@ -437,7 +438,7 @@ def exp_variability() -> ExperimentResult:
               len(clean.slow_cores))
     exps.append(Expectation("healthy cluster uniform (the paper's result)",
                             "no variability", f"CV={clean.coefficient_of_variation:.1e}",
-                            holds=clean.uniform))
+                            holds=clean.uniform, claim="fig1-no-variability"))
     het = random_heterogeneity(24, 48, slow_nodes=2, slow_cores=3, seed=5)
     found = analyze_sweep(ukernel_sweep(arm, heterogeneity=het))
     t.add_row("2 slow nodes + 3 slow cores", found.coefficient_of_variation,

@@ -1,192 +1,45 @@
-"""Render every paper figure as an SVG file (``repro-lab figures <dir>``)."""
+"""Render every paper figure as an SVG file (``repro-lab figures <dir>``).
+
+Each file draws the :class:`~repro.harness.experiment.Figure` record of
+its experiment — the same record ``repro-lab run`` draws in ASCII — so
+the SVG and text figures cannot disagree.
+"""
 
 from __future__ import annotations
 
 import os
+import re
 
-import numpy as np
-
-from repro.analysis.speedup import table4_matrix
-from repro.apps import AlyaModel, GromacsModel, NemoModel, WRFModel
-from repro.apps.openifs import OpenIFSModel
-from repro.bench.fpu_ukernel import fig1_data
-from repro.bench.hpcg import fig7_data
-from repro.bench.linpack import fig6_data
-from repro.bench.osu import fig4_data, fig5_data
-from repro.bench.stream_bench import fig2_data, fig3_data
-from repro.machine.presets import cte_arm, marenostrum4
-from repro.util.errors import OutOfMemoryError
+from repro.harness.experiment import Figure, run_experiment
+from repro.harness.report import _PAPER_ORDER
 from repro.util.svgplot import bar_chart, heatmap, line_plot
 
 
-def _app_series(app_arm, app_mn4, arm_nodes, mn4_nodes, metric):
-    arm, mn4 = cte_arm(), marenostrum4(192)
-    series = {"CTE-Arm": [], "MareNostrum 4": []}
-    for n in arm_nodes:
-        try:
-            series["CTE-Arm"].append((n, metric(app_arm, arm, n)))
-        except OutOfMemoryError:
-            pass
-    for n in mn4_nodes:
-        try:
-            series["MareNostrum 4"].append((n, metric(app_mn4, mn4, n)))
-        except OutOfMemoryError:
-            pass
-    return series
-
-
-def _step_metric(app, cluster, n):
-    return app.time_step(cluster, n).total
+def figure_svg(fig: Figure) -> str:
+    """Draw one figure record as an SVG document."""
+    if fig.kind == "line":
+        return line_plot(fig.series, title=fig.title, xlabel=fig.xlabel,
+                         ylabel=fig.ylabel, logx=fig.logx, logy=fig.logy)
+    if fig.kind == "bars":
+        return bar_chart(fig.groups, fig.series, labels=fig.labels,
+                         title=fig.title, ylabel=fig.ylabel)
+    return heatmap(fig.matrix, title=fig.title, xlabel=fig.xlabel,
+                   ylabel=fig.ylabel)
 
 
 def render_all(out_dir: str) -> list[str]:
-    """Write every figure; returns the file paths."""
+    """Write the figure of every paper experiment that has one, named
+    after the experiment (``fig1_fpu`` -> ``fig01_fpu.svg``); returns the
+    file paths in paper order."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
-
-    def write(name: str, svg: str) -> None:
-        path = os.path.join(out_dir, name)
+    for exp_id in _PAPER_ORDER:
+        fig = run_experiment(exp_id).figure
+        if fig is None:
+            continue
+        path = os.path.join(out_dir, re.sub(r"^fig(\d)_", r"fig0\1_", exp_id)
+                            + ".svg")
         with open(path, "w") as fh:
-            fh.write(svg)
+            fh.write(figure_svg(fig))
         written.append(path)
-
-    # Fig. 1 — FPU µKernel bars.
-    data = fig1_data()
-    groups = [f"{r.mode.value}/{r.dtype.name.lower()}"
-              for r in data if r.cluster == "CTE-Arm"]
-    series = {}
-    labels = {}
-    for cluster in ("CTE-Arm", "MareNostrum 4"):
-        rows = [r for r in data if r.cluster == cluster]
-        series[cluster] = [r.sustained_flops / 1e9 for r in rows]
-        labels[cluster] = [f"{r.percent_of_peak:.0f}%" for r in rows]
-    write("fig01_fpu.svg", bar_chart(
-        groups, series, labels=labels, ylabel="GFlop/s",
-        title="Fig. 1 — FPU µKernel, one core"))
-
-    # Fig. 2 / Fig. 3 — STREAM.
-    series2 = {}
-    for p in fig2_data():
-        series2.setdefault(f"{p.cluster} ({p.language})", []).append(
-            (p.threads, p.bandwidth / 1e9))
-    write("fig02_stream_openmp.svg", line_plot(
-        series2, xlabel="OpenMP threads", ylabel="GB/s",
-        title="Fig. 2 — STREAM Triad, OpenMP"))
-    series3 = {}
-    for p in fig3_data():
-        series3.setdefault(f"{p.cluster} ({p.language})", []).append(
-            (p.ranks, p.bandwidth / 1e9))
-    write("fig03_stream_hybrid.svg", line_plot(
-        series3, xlabel="MPI ranks (x full-domain threads)", ylabel="GB/s",
-        title="Fig. 3 — STREAM Triad, MPI+OpenMP"))
-
-    # Fig. 4 — node-pair map; Fig. 5 — distribution heatmap.
-    write("fig04_netmap.svg", heatmap(
-        fig4_data() / 1e6, xlabel="receiver node", ylabel="sender node",
-        title="Fig. 4 — pairwise bandwidth [MB/s], 256 B"))
-    dists = fig5_data(max_pairs=800)
-    sizes = sorted(dists)
-    n_bins = 48
-    all_bw = np.concatenate([dists[s] for s in sizes]) / 1e6
-    edges = np.logspace(np.log10(max(all_bw.min(), 1e-3)),
-                        np.log10(all_bw.max()), n_bins + 1)
-    hist2d = np.array([
-        np.histogram(dists[s] / 1e6, bins=edges)[0] for s in sizes
-    ], dtype=float)
-    write("fig05_netdist.svg", heatmap(
-        hist2d, xlabel="bandwidth bin (log)", ylabel="message size (2^0..2^24)",
-        title="Fig. 5 — bandwidth distribution vs message size"))
-
-    # Fig. 6 — LINPACK; Fig. 7 — HPCG bars.
-    series6 = {}
-    for p in fig6_data():
-        series6.setdefault(p.cluster, []).append((p.n_nodes, p.gflops))
-    write("fig06_linpack.svg", line_plot(
-        series6, logx=True, logy=True, xlabel="nodes", ylabel="GFlop/s",
-        title="Fig. 6 — LINPACK scalability"))
-    pts7 = fig7_data()
-    groups7 = ["vanilla@1", "optimized@1", "vanilla@192", "optimized@192"]
-    series7 = {}
-    labels7 = {}
-    for cluster in ("CTE-Arm", "MareNostrum 4"):
-        rows = [p for p in pts7 if p.cluster == cluster]
-        rows.sort(key=lambda p: (p.n_nodes, p.version))
-        series7[cluster] = [p.gflops for p in rows]
-        labels7[cluster] = [f"{p.percent_of_peak:.2f}%" for p in rows]
-    write("fig07_hpcg.svg", bar_chart(
-        groups7, series7, labels=labels7, ylabel="GFlop/s",
-        title="Fig. 7 — HPCG (log-scale values differ 200x across groups)"))
-
-    # Figs. 8-16 — applications.
-    alya = AlyaModel()
-    write("fig08_alya.svg", line_plot(
-        _app_series(alya, alya, [12, 16, 24, 32, 44, 64, 78], [4, 8, 12, 16],
-                    _step_metric),
-        logx=True, logy=True, xlabel="nodes", ylabel="s/step",
-        title="Fig. 8 — Alya average time step"))
-    for phase, name, fig in (("assembly", "Assembly", "fig09_alya_assembly"),
-                             ("solver", "Solver", "fig10_alya_solver")):
-        write(f"{fig}.svg", line_plot(
-            _app_series(
-                alya, alya, [12, 16, 24, 32, 48, 64, 78], [12, 16],
-                lambda a, c, n, ph=phase:
-                a.time_step(c, n).phase_seconds[ph]),
-            logx=True, logy=True, xlabel="nodes", ylabel="s",
-            title=f"Fig. {9 if phase == 'assembly' else 10} — Alya {name}"))
-    nemo = NemoModel()
-    write("fig11_nemo.svg", line_plot(
-        _app_series(nemo, nemo, [8, 16, 32, 48, 64, 96, 128, 192],
-                    [1, 2, 4, 8, 16, 24],
-                    lambda a, c, n: a.time_step(c, n).total * a.steps_per_run),
-        logx=True, logy=True, xlabel="nodes", ylabel="execution time [s]",
-        title="Fig. 11 — NEMO"))
-    g = GromacsModel()
-    arm, mn4 = cte_arm(), marenostrum4(192)
-    write("fig12_gromacs_node.svg", line_plot(
-        {"CTE-Arm": g.single_node_sweep(arm),
-         "MareNostrum 4": g.single_node_sweep(mn4)},
-        logx=True, logy=True, xlabel="cores", ylabel="days/ns",
-        title="Fig. 12 — Gromacs, one node"))
-    write("fig13_gromacs_multi.svg", line_plot(
-        {"CTE-Arm": [(n, g.days_per_ns(arm, n))
-                     for n in (1, 2, 4, 8, 16, 32, 64, 96, 144)],
-         "MareNostrum 4": [(n, g.days_per_ns(mn4, n))
-                           for n in (1, 2, 4, 8, 16, 32, 64, 96, 144)]},
-        logx=True, logy=True, xlabel="nodes", ylabel="days/ns",
-        title="Fig. 13 — Gromacs, multi-node (2 nodes = the 16-rank anomaly)"))
-    oifs1 = OpenIFSModel("TL255L91")
-    write("fig14_openifs_node.svg", line_plot(
-        {"CTE-Arm": oifs1.single_node_sweep(arm),
-         "MareNostrum 4": oifs1.single_node_sweep(mn4)},
-        logx=True, logy=True, xlabel="MPI ranks", ylabel="s per sim. day",
-        title="Fig. 14 — OpenIFS TL255L91, one node"))
-    oifs = OpenIFSModel("TC0511L91")
-    write("fig15_openifs_multi.svg", line_plot(
-        _app_series(oifs, oifs, [32, 48, 64, 96, 128], [8, 16, 32, 64, 128],
-                    lambda a, c, n: a.seconds_per_simulated_day(c, n)),
-        logx=True, logy=True, xlabel="nodes", ylabel="s per sim. day",
-        title="Fig. 15 — OpenIFS TC0511L91"))
-    wrf_on, wrf_off = WRFModel(io_enabled=True), WRFModel(io_enabled=False)
-    series16 = {}
-    for label, app in (("IO on", wrf_on), ("IO off", wrf_off)):
-        for cluster in (arm, mn4):
-            series16[f"{cluster.name} {label}"] = [
-                (n, app.elapsed_seconds(cluster, n))
-                for n in (1, 2, 4, 8, 16, 32, 64)
-            ]
-    write("fig16_wrf.svg", line_plot(
-        series16, logx=True, logy=True, xlabel="nodes", ylabel="elapsed [s]",
-        title="Fig. 16 — WRF, Iberia 4 km"))
-
-    # Table IV as a speedup chart (bonus).
-    matrix = table4_matrix()
-    seriesT = {}
-    for app_name, cells in matrix.items():
-        pts = [(c.n_nodes, c.speedup) for c in cells if c.speedup is not None]
-        if pts:
-            seriesT[app_name] = pts
-    write("table4_speedups.svg", line_plot(
-        seriesT, logx=True, xlabel="nodes",
-        ylabel="speedup CTE-Arm vs MN4",
-        title="Table IV — speedups (>1: CTE-Arm wins)"))
     return written

@@ -9,10 +9,11 @@ section, regenerated from scratch on every run.
 
 from __future__ import annotations
 
-from repro.harness.cli import _ordered_experiments
-from repro.harness.experiment import run_experiment
+from repro.harness.experiment import list_experiments, run_experiment
 from repro.harness.paper_claims import verify_coverage
 
+#: the paper's experiments in paper order (Tables I-III, Figs. 1-16,
+#: Table IV) under their section headings.
 _SECTIONS = [
     ("II. System configuration", ["table1_hardware"]),
     ("III-A. Floating-point throughput", ["fig1_fpu"]),
@@ -27,6 +28,13 @@ _SECTIONS = [
       "fig16_wrf"]),
     ("VI. Conclusions", ["table4_speedups"]),
 ]
+
+_PAPER_ORDER = [exp_id for _, exp_ids in _SECTIONS for exp_id in exp_ids]
+
+
+def _ordered_experiments() -> list[str]:
+    """Paper order, then the extensions by id."""
+    return _PAPER_ORDER + sorted(set(list_experiments()) - set(_PAPER_ORDER))
 
 
 def generate_report(*, include_figures: bool = True,

@@ -294,6 +294,9 @@ def stream_chunk_points(tape: Tape, memory_budget_bytes: int,
     return max(1, memory_budget_bytes // per_point)
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _compile_tape(program: Program) -> Tape:
     names: list[str] = []
     name_idx: dict[str, int] = {}
@@ -326,6 +329,10 @@ def _compile_tape(program: Program) -> Tape:
         if phase.name not in name_idx:
             name_idx[phase.name] = len(names)
             names.append(phase.name)
+        if mult > _INT64_MAX:
+            raise ConfigurationError(
+                f"phase {phase.name!r} repeats {mult} times; the batch "
+                f"backend counts repetitions in int64 (max {_INT64_MAX})")
         occ = len(occ_mult)
         occ_mult.append(mult)
         occ_names.append(name_idx[phase.name])

@@ -1,8 +1,9 @@
 """Terminal plots: line plots, heatmaps, histograms.
 
-matplotlib is unavailable offline, so the harness renders every paper figure
-as ASCII art — enough to see the shapes the paper reports (scaling slopes,
-torus diagonal banding in Fig. 4, the bimodal histogram of Fig. 5).
+matplotlib is unavailable offline, so the harness draws each experiment's
+line and heatmap figures as ASCII art — enough to see the shapes the paper
+reports (scaling slopes, torus diagonal banding in Fig. 4, the bimodal
+size x bandwidth map of Fig. 5).  The histogram serves the examples.
 """
 
 from __future__ import annotations
@@ -112,20 +113,15 @@ def ascii_heatmap(
         H = m.shape[0] // rh * rh
         W = m.shape[1] // rw * rw
         m = m[:H, :W].reshape(H // rh, rh, W // rw, rw).mean(axis=(1, 3))
-    finite = m[np.isfinite(m)]
+    ok = np.isfinite(m)
+    finite = m[ok]
     lo = float(finite.min()) if finite.size else 0.0
     hi = float(finite.max()) if finite.size else 1.0
     span = hi - lo or 1.0
+    idx = (np.where(ok, m, lo) - lo) / span * (len(_SHADES) - 1)
+    chars = np.where(ok, np.array(list(_SHADES))[idx.astype(int)], "?")
     lines = [title] if title else []
-    for row in m:
-        chars = []
-        for v in row:
-            if not np.isfinite(v):
-                chars.append("?")
-            else:
-                idx = int((v - lo) / span * (len(_SHADES) - 1))
-                chars.append(_SHADES[idx])
-        lines.append("".join(chars))
+    lines.extend("".join(row) for row in chars)
     lines.append(f"scale: '{_SHADES[0]}'={lo:.3g} .. '{_SHADES[-1]}'={hi:.3g}")
     return "\n".join(lines)
 

@@ -3,7 +3,9 @@
 matplotlib is unavailable offline, so the laboratory writes its figures as
 hand-built SVG — adequate for the paper's figure types (scaling curves on
 log axes, grouped bars with percent labels, the all-pairs bandwidth map).
-``repro-lab figures <dir>`` renders every paper figure this way.
+``repro-lab figures <dir>`` draws each figure experiment's
+:class:`~repro.harness.experiment.Figure` record this way
+(:mod:`repro.harness.figures_svg`).
 """
 
 from __future__ import annotations

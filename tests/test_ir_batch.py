@@ -320,3 +320,10 @@ class TestTapeAndCaches:
             BatchAnalyticBackend().run(program, _ARM, 4,
                                        check_memory=False,
                                        fault_schedule=None)
+
+    def test_step_count_past_int64_is_a_configuration_error(self):
+        app = get_app("gromacs")
+        mapping = app.mapping(_ARM, 2)
+        with pytest.raises(ConfigurationError, match="repeats .* int64"):
+            shared_batch_backend().run(app.program(mapping, steps=2**63),
+                                       _ARM, 2)

@@ -158,6 +158,13 @@ class TestCli:
     def test_unknown_experiment_rejected(self, capsys):
         assert main(["run", "no_such_experiment"]) == 2
 
+    def test_bad_run_context_rejected(self, capsys):
+        # RunContext validates the DES fields; the CLI maps its error to 2
+        assert main(["run", "fig1_fpu", "--des-shards", "0"]) == 2
+        assert "des_shards" in capsys.readouterr().err
+        assert main(["run", "fig1_fpu", "--des-shard-workers", "-1"]) == 2
+        assert "des_workers" in capsys.readouterr().err
+
 
 class _Echo:
     """Trivial persistent-pool handler: returns what it is sent."""
