@@ -82,10 +82,12 @@ def table4_matrix(
     }
 
 
-def table4(nodes: list[int] | None = None) -> Table:
-    """Render the speedup matrix in the paper's Table IV layout."""
+def table4(nodes: list[int] | None = None, *,
+           matrix: dict[str, list[SpeedupCell]] | None = None) -> Table:
+    """Render the speedup matrix in the paper's Table IV layout
+    (``matrix``: a prebuilt :func:`table4_matrix` over ``nodes``)."""
     nodes = TABLE4_NODES if nodes is None else nodes
-    matrix = table4_matrix(nodes)
+    matrix = table4_matrix(nodes) if matrix is None else matrix
     t = Table(
         "TABLE IV — Speedup of CTE-Arm relative to MareNostrum 4",
         ["Applications"] + [str(n) for n in nodes],

@@ -84,18 +84,31 @@ class ExperimentResult:
     notes: str = ""
 
     def render(self, *, include_figure: bool = True) -> str:
-        parts = [f"== {self.exp_id}: {self.title} =="]
+        if include_figure:
+            return self.render_both()[0]
+        head, tail = self._text_parts()
+        return "\n".join(head + tail)
+
+    def render_both(self) -> tuple[str, str]:
+        """``(render(), render(include_figure=False))``, rendering the
+        table and the expectation lines once."""
+        head, tail = self._text_parts()
+        art = self.figure.ascii() if self.figure else None
+        bare = "\n".join(head + tail)
+        return ("\n".join(head + [art] + tail) if art else bare), bare
+
+    def _text_parts(self) -> tuple[list[str], list[str]]:
+        """The text before and after the figure."""
+        head = [f"== {self.exp_id}: {self.title} =="]
         if self.table is not None:
-            parts.append(self.table.render())
-        art = self.figure.ascii() if include_figure and self.figure else None
-        if art:
-            parts.append(art)
+            head.append(self.table.render())
+        tail = []
         if self.expectations:
-            parts.append("Paper vs measured:")
-            parts.extend("  " + e.render() for e in self.expectations)
+            tail.append("Paper vs measured:")
+            tail.extend("  " + e.render() for e in self.expectations)
         if self.notes:
-            parts.append(self.notes)
-        return "\n".join(parts)
+            tail.append(self.notes)
+        return head, tail
 
     @property
     def all_hold(self) -> bool:

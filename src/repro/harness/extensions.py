@@ -330,7 +330,6 @@ def exp_congestion() -> ExperimentResult:
         alltoall_flows,
         analyze_congestion,
         halo_flows,
-        link_loads,
     )
     from repro.network.torus import tofu_d
 
@@ -346,37 +345,34 @@ def exp_congestion() -> ExperimentResult:
                                 ("halo", lambda ns: halo_flows(topo, ns))):
         for alloc_name, nodes in (("compact", compact),
                                   ("scattered", scattered)):
-            flows = maker(nodes)
-            loads = link_loads(topo, flows)
-            report = analyze_congestion(topo, flows)
-            total = sum(loads.values())
-            results[(pattern_name, alloc_name)] = (total, report)
-            t.add_row(pattern_name, alloc_name, total, report.max_load,
-                      report.n_links_used)
+            report = analyze_congestion(topo, maker(nodes))
+            results[(pattern_name, alloc_name)] = report
+            t.add_row(pattern_name, alloc_name, report.total_load,
+                      report.max_load, report.n_links_used)
     exps = [
         Expectation(
             "compact allocation does less network work (halo)",
             "fewer byte-hops",
-            f"{results[('halo', 'compact')][0]:.0f} vs "
-            f"{results[('halo', 'scattered')][0]:.0f}",
-            holds=results[("halo", "compact")][0]
-            < results[("halo", "scattered")][0],
+            f"{results[('halo', 'compact')].total_load:.0f} vs "
+            f"{results[('halo', 'scattered')].total_load:.0f}",
+            holds=results[("halo", "compact")].total_load
+            < results[("halo", "scattered")].total_load,
         ),
         Expectation(
             "compact allocation does less network work (alltoall)",
             "fewer byte-hops",
-            f"{results[('alltoall', 'compact')][0]:.0f} vs "
-            f"{results[('alltoall', 'scattered')][0]:.0f}",
-            holds=results[("alltoall", "compact")][0]
-            < results[("alltoall", "scattered")][0],
+            f"{results[('alltoall', 'compact')].total_load:.0f} vs "
+            f"{results[('alltoall', 'scattered')].total_load:.0f}",
+            holds=results[("alltoall", "compact")].total_load
+            < results[("alltoall", "scattered")].total_load,
         ),
         Expectation(
             "alltoall loads links heavier than halo traffic",
             "clearly hotter links",
-            f"max {results[('alltoall', 'compact')][1].max_load:.0f} vs "
-            f"{results[('halo', 'compact')][1].max_load:.0f}",
-            holds=results[("alltoall", "compact")][1].max_load
-            > 1.5 * results[("halo", "compact")][1].max_load,
+            f"max {results[('alltoall', 'compact')].max_load:.0f} vs "
+            f"{results[('halo', 'compact')].max_load:.0f}",
+            holds=results[("alltoall", "compact")].max_load
+            > 1.5 * results[("halo", "compact")].max_load,
         ),
     ]
     return ExperimentResult("ext_congestion", "Link-congestion ablation",

@@ -726,8 +726,8 @@ TABLE4_CLAIMS = {"LINPACK": "t4-linpack", "HPCG": "t4-hpcg"}
 
 @register("table4_speedups")
 def exp_table4() -> ExperimentResult:
-    t = table4()
     matrix = table4_matrix()
+    t = table4(matrix=matrix)
     exps = []
     for app, paper_cells in PAPER_TABLE4.items():
         ours = {c.n_nodes: c for c in matrix[app]}

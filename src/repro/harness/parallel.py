@@ -130,11 +130,12 @@ def _run_one_text(exp_id: str, ctx: RunContext) -> tuple[str, float]:
     start = time.perf_counter()
     with using(ctx):
         result = run_experiment(exp_id)
+        rendered, rendered_no_figure = result.render_both()
         payload = {
             "experiment": exp_id,
             "result": result.to_dict(),
-            "rendered": result.render(include_figure=True),
-            "rendered_no_figure": result.render(include_figure=False),
+            "rendered": rendered,
+            "rendered_no_figure": rendered_no_figure,
         }
     return json.dumps(payload), time.perf_counter() - start
 

@@ -36,6 +36,11 @@ class FatTreeTopology(Topology):
         self.oversubscription = oversubscription
         self.n_leaves = math.ceil(n_nodes / nodes_per_leaf)
 
+    @property
+    def fabric_key(self) -> tuple:
+        return ("fattree", self.n_nodes, self.nodes_per_leaf,
+                self.oversubscription)
+
     def leaf_of(self, node: int) -> int:
         self.check_node(node)
         return node // self.nodes_per_leaf

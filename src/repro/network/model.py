@@ -7,6 +7,7 @@ node b take?" and "what bandwidth would the OSU loop report for this pair?".
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -20,6 +21,7 @@ from repro.network.linkmodel import LinkModel, OMNIPATH_LINK, TOFUD_LINK
 from repro.network.topology import Topology
 from repro.network.torus import tofu_d
 from repro.util.errors import ConfigurationError
+from repro.util.memo import Memo
 
 
 #: Entry cap of the per-model (src, dst, size) timing cache, which serves
@@ -28,6 +30,16 @@ from repro.util.errors import ConfigurationError
 #: the cache is dropped wholesale (recomputation is cheap, an eviction
 #: policy is not worth the bookkeeping on this hot path).
 _P2P_CACHE_MAX = 1 << 18
+
+#: Bounds of the pre-fault base times of whole pair arrays that
+#: :meth:`NetworkModel.p2p_times` memoizes across models; a paper suite
+#: fills 29 entries, ~0.6 MB.
+BASE_TIMES_MEMO_ENTRIES = 256
+BASE_TIMES_MEMO_BYTES = 16 << 20
+
+_BASE_TIMES: Memo[np.ndarray] = Memo(
+    "network.base_times", BASE_TIMES_MEMO_ENTRIES,
+    budget_bytes=BASE_TIMES_MEMO_BYTES, sizeof=lambda a: a.nbytes)
 
 
 @dataclass
@@ -40,7 +52,10 @@ class NetworkModel:
     live — mutating :attr:`faults` (``degrade_receiver``/...) takes
     effect immediately, while rebinding :attr:`topology` or :attr:`link`
     invalidates the caches.  ``p2p_times`` prices whole pair arrays for
-    sweeps, bit-identical to the scalar calls, without touching the memo.
+    sweeps, bit-identical to the scalar calls; it memoizes pre-fault base
+    arrays in the process memo ``network.base_times`` under a content key
+    of the fabric, the link, the size and the pair arrays, so in-place
+    edits of the topology miss it rather than go stale.
     """
 
     topology: Topology
@@ -120,19 +135,34 @@ class NetworkModel:
     def p2p_times(self, src: np.ndarray, dst: np.ndarray, size: int) -> np.ndarray:
         """:meth:`p2p_time` over broadcast arrays of node ids.
 
-        Bit-identical to the scalar call lane by lane.  The fault factors
-        are read from :attr:`faults` at call time (keys outside the
-        fabric are ignored); the scalar memo is neither read nor filled.
+        Bit-identical to the scalar call lane by lane.  The pre-fault
+        base times come from ``network.base_times`` (stored read-only);
+        the fault factors are read from :attr:`faults` at call time (keys
+        outside the fabric are ignored), so every call returns a fresh
+        array.  The scalar memo is neither read nor filled.
         """
+        if size <= 0:
+            raise ConfigurationError("message size must be positive")
         src, dst = np.broadcast_arrays(np.asarray(src, dtype=np.int64),
                                        np.asarray(dst, dtype=np.int64))
-        hops = self.topology.hops_many(src, dst)
-        base = self.link.p2p_times(size, hops, src, dst)
+        digest = hashlib.blake2b(np.ascontiguousarray(src).data, digest_size=16)
+        digest.update(np.ascontiguousarray(dst).data)
+        key = (self.topology.fabric_key, self.link, size, src.shape,
+               digest.digest())
+        base = _BASE_TIMES.get_or_compute(
+            key, lambda: self._base_times(src, dst, size))
         factor = (self._factor_vector(self.faults.send_factors)[src]
                   * self._factor_vector(self.faults.recv_factors)[dst])
         with np.errstate(divide="ignore"):
             # dead link or crashed endpoint: unreachable
             return np.where(factor <= 0.0, math.inf, base / factor)
+
+    def _base_times(self, src: np.ndarray, dst: np.ndarray,
+                    size: int) -> np.ndarray:
+        hops = self.topology.hops_many(src, dst)
+        base = self.link.p2p_times(size, hops, src, dst)
+        base.flags.writeable = False
+        return base
 
     def _factor_vector(self, factors: dict[int, float]) -> np.ndarray:
         out = np.ones(self.n_nodes)

@@ -71,21 +71,59 @@ def link_loads(
     """Fold traffic onto links: flows are (src, dst, bytes).
 
     ``routing`` selects "dimension-order" (default) or "valiant".
-    Returns Counter[link] = total bytes crossing that directed link.
+    Returns Counter[link] = total bytes crossing that directed link, keyed
+    in first-use order (flow by flow, along each route).
     """
-    if routing == "dimension-order":
-        router = lambda s, d: dimension_order_route(topo, s, d)  # noqa: E731
-    elif routing == "valiant":
-        router = lambda s, d: valiant_route(topo, s, d, seed=seed)  # noqa: E731
-    else:
+    if routing not in ("dimension-order", "valiant"):
         raise ConfigurationError(f"unknown routing {routing!r}")
+    flows = list(flows)
+    if any(volume < 0 for _, _, volume in flows):
+        raise ConfigurationError("flow volume must be non-negative")
+    if routing == "dimension-order":
+        return _dimension_order_loads(topo, flows)
     loads: Counter = Counter()
     for src, dst, volume in flows:
-        if volume < 0:
-            raise ConfigurationError("flow volume must be non-negative")
-        for link in router(src, dst):
+        for link in valiant_route(topo, src, dst, seed=seed):
             loads[link] += volume
     return loads
+
+
+def _dimension_order_loads(topo: TorusTopology,
+                           flows: list[tuple[int, int, float]]) -> Counter:
+    """Dimension-order :func:`link_loads` as array passes.
+
+    Every flow's ring steps are laid out in route order (flow, then axis,
+    then step), each step becomes the link id ``(node * ndim + axis) * 2 +
+    (step > 0)``, one in-order ``np.bincount`` sums the volumes, and the
+    Counter is built in first-occurrence order — the same keys, order and
+    float sums as adding each route's links one by one.
+    """
+    if not flows:
+        return Counter()
+    src, dst, volume = zip(*flows)
+    dims = np.asarray(topo.dims)
+    ndim = len(dims)
+    cs = np.stack(np.unravel_index(topo.node_array(src), topo.dims), axis=1)
+    cd = np.stack(np.unravel_index(topo.node_array(dst), topo.dims), axis=1)
+    fwd = (cd - cs) % dims
+    up = fwd <= dims - fwd  # the short way round, ties toward +
+    counts = np.where(up, fwd, dims - fwd).ravel()  # steps per (flow, axis)
+    # one element per traversed link, in route order
+    flow = np.repeat(np.arange(len(flows)).repeat(ndim), counts)
+    axis = np.repeat(np.tile(np.arange(ndim), len(flows)), counts)
+    step = np.where(up.ravel(), 1, -1).repeat(counts)
+    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    # axes before the moving one are already at the target
+    coords = np.where(np.arange(ndim) < axis[:, None], cd[flow], cs[flow])
+    coords[np.arange(len(axis)), axis] = (cs[flow, axis] + k * step) % dims[axis]
+    ids = (np.ravel_multi_index(coords.T, topo.dims) * ndim + axis) * 2 \
+        + (step > 0)
+    sums = np.bincount(ids, weights=np.asarray(volume, dtype=float)[flow])
+    keys = ids[np.sort(np.unique(ids, return_index=True)[1])]
+    node, rest = np.divmod(keys, 2 * ndim)
+    links = zip(node.tolist(), (rest // 2).tolist(),
+                np.where(rest % 2, 1, -1).tolist())
+    return Counter(dict(zip(links, sums[keys].tolist())))
 
 
 @dataclass(frozen=True)
@@ -96,6 +134,8 @@ class CongestionReport:
     mean_load: float
     hot_links: list[Link]
     n_links_used: int
+    #: bytes x hops over all links (``sum`` of the loads, in link order).
+    total_load: float
 
     @property
     def imbalance(self) -> float:
@@ -112,7 +152,7 @@ def analyze_congestion(
     """Hotspot analysis of a traffic pattern on the torus."""
     loads = link_loads(topo, flows)
     if not loads:
-        return CongestionReport(0.0, 0.0, [], 0)
+        return CongestionReport(0.0, 0.0, [], 0, 0.0)
     values = np.array(list(loads.values()), dtype=float)
     max_load = float(values.max())
     hot = [link for link, load in loads.items()
@@ -122,6 +162,7 @@ def analyze_congestion(
         mean_load=float(values.mean()),
         hot_links=sorted(hot),
         n_links_used=len(loads),
+        total_load=sum(loads.values()),
     )
 
 
@@ -139,9 +180,12 @@ def halo_flows(
     'Closest' = minimum hop distance within the allocation, up to 6 peers —
     what a stencil application's rank grid induces after placement.
     """
+    ids = np.asarray(nodes)
+    hops = topo.hops_many(ids[:, None], ids[None, :])
     flows = []
-    for a in nodes:
-        dists = sorted((topo.hops(a, b), b) for b in nodes if b != a)
-        for _, b in dists[:6]:
-            flows.append((a, b, volume_per_face))
+    for row, a in enumerate(nodes):
+        peers = np.flatnonzero(ids != a)
+        # stable sort by (hops, b)
+        closest = peers[np.lexsort((ids[peers], hops[row, peers]))[:6]]
+        flows.extend((a, nodes[i], volume_per_face) for i in closest.tolist())
     return flows

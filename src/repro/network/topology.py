@@ -36,6 +36,12 @@ class Topology(abc.ABC):
             self.check_node(int(node))
         return nodes
 
+    @property
+    @abc.abstractmethod
+    def fabric_key(self) -> tuple:
+        """Content key of everything the hop counts depend on (keys memos
+        that outlive the object, so in-place edits change the key)."""
+
     @abc.abstractmethod
     def hops(self, a: int, b: int) -> int:
         """Switch/router hops on the route from node ``a`` to node ``b``."""

@@ -57,6 +57,10 @@ class TorusTopology(Topology):
             node += c * s
         return node
 
+    @property
+    def fabric_key(self) -> tuple:
+        return ("torus", self.dims)
+
     @staticmethod
     def _ring_distance(a: int, b: int, radix: int) -> int:
         d = abs(a - b)

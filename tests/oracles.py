@@ -29,10 +29,17 @@ bit for bit.
 was written before :meth:`ProtocolModel.factors` hashed a shared prefix:
 one full :func:`~repro.util.rng.derive_seed` call per (pair, size class),
 scaled to [0, 1) in Python integers and floats.
+
+:func:`link_loads_oracle` is the dimension-order link fold as it was
+written before :func:`~repro.network.routing.link_loads` laid every
+route out as arrays: each flow's route from
+:func:`~repro.network.routing.dimension_order_route`, added to a
+``Counter`` link by link.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any
 
 from repro.ir.backend import RunResult
@@ -44,6 +51,7 @@ from repro.machine.models import (
 )
 from repro.network.collectives import CollectiveCosts
 from repro.network.model import network_for
+from repro.network.routing import dimension_order_route
 from repro.toolchain.profiles import default_compiler_for
 from repro.util.errors import ConfigurationError
 from repro.util.rng import derive_seed
@@ -313,3 +321,15 @@ def protocol_factor_oracle(protocol, src, dst, size: int) -> float:
     if tag == "mode":
         return protocol.slow_factor if u < protocol.slow_probability else 1.0
     return 1.0 - protocol.large_jitter * u
+
+
+def link_loads_oracle(topo, flows) -> Counter:
+    """Counter[link] of the bytes each directed link carries under
+    dimension-order routing, one route and one link at a time."""
+    loads: Counter = Counter()
+    for src, dst, volume in flows:
+        if volume < 0:
+            raise ConfigurationError("flow volume must be non-negative")
+        for link in dimension_order_route(topo, src, dst):
+            loads[link] += volume
+    return loads

@@ -244,7 +244,7 @@ def test_clear_caches_walks_exactly_the_process_memos():
 
     assert set(MEMOS) == {
         "apps.sweeps", "batch.binaries", "batch.networks", "batch.rank_bw",
-        "batch.results", "batch.tapes"}
+        "batch.results", "batch.tapes", "network.base_times"}
 
 
 def test_pricing_keeps_no_cluster_alive():

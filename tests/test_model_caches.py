@@ -7,11 +7,20 @@ effect immediately.
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
+import pytest
+
 from repro.machine import cte_arm, marenostrum4
 from repro.machine.core import _sustained_rate
 from repro.machine.isa import DType
+from repro.network import linkmodel, model
+from repro.network.fattree import FatTreeTopology
 from repro.network.linkmodel import OMNIPATH_LINK
-from repro.network.model import network_for
+from repro.network.model import NetworkModel, network_for
+from repro.network.torus import TorusTopology
+from repro.util.errors import ConfigurationError
 
 
 class TestNetworkModelCache:
@@ -54,6 +63,115 @@ class TestNetworkModelCache:
             ) / net.faults.pair_factor(src, dst)
             assert net.p2p_time(src, dst, size) == expected
             assert net.p2p_time(src, dst, size) == expected  # cached
+
+
+@pytest.fixture()
+def draws(monkeypatch):
+    """Counts of protocol-draw lanes and ``hops_many`` calls."""
+    counts = {"lanes": 0, "hops_many": 0}
+    unit_draws = linkmodel._unit_draws
+
+    def counted_draws(seed, tag, src, dst, size):
+        counts["lanes"] += len(src)
+        return unit_draws(seed, tag, src, dst, size)
+
+    def counted_hops(cls):
+        hops_many = cls.hops_many
+
+        def wrapper(self, a, b):
+            counts["hops_many"] += 1
+            return hops_many(self, a, b)
+        monkeypatch.setattr(cls, "hops_many", wrapper)
+
+    monkeypatch.setattr(linkmodel, "_unit_draws", counted_draws)
+    counted_hops(TorusTopology)
+    counted_hops(FatTreeTopology)
+    return counts
+
+
+class TestVectorBaseMemo:
+    """``p2p_times`` memoizes pre-fault base arrays in
+    ``network.base_times`` and applies the fault state live."""
+
+    SRC, DST = np.arange(0, 20), np.arange(4, 24)
+
+    def test_repeat_call_is_a_hit_without_draws(self, draws):
+        model._BASE_TIMES.clear()
+        net = network_for(cte_arm(24))
+        first = net.p2p_times(self.SRC, self.DST, 4096)
+        assert draws == {"lanes": 20, "hops_many": 1}
+        again = network_for(cte_arm(24)).p2p_times(self.SRC, self.DST, 4096)
+        assert np.array_equal(again, first)
+        assert draws == {"lanes": 20, "hops_many": 1}
+        assert model._BASE_TIMES.stats()["hits"] == 1
+
+    def test_fault_edit_between_calls_applies(self):
+        net = network_for(cte_arm(24), healthy=True)
+        healthy = net.p2p_times(self.SRC, self.DST, 4096)
+        net.faults.degrade_receiver(5, 0.5)
+        degraded = net.p2p_times(self.SRC, self.DST, 4096)
+        assert degraded[1] == healthy[1] / 0.5
+        assert np.array_equal(np.delete(degraded, 1), np.delete(healthy, 1))
+        net.apply_fault_transition(lambda fm: fm.degrade_sender(0, 0.0))
+        assert net.p2p_times(self.SRC, self.DST, 4096)[0] == np.inf
+
+    def test_other_link_or_dims_miss(self, draws):
+        model._BASE_TIMES.clear()
+        net = NetworkModel(TorusTopology((2, 3, 4)), linkmodel.TOFUD_LINK)
+        base = net.p2p_times(self.SRC, self.DST, 4096)
+        net.link = dataclasses.replace(net.link, latency_s=2e-6)
+        other_link = net.p2p_times(self.SRC, self.DST, 4096)
+        net.topology = TorusTopology((4, 3, 2))
+        other_dims = net.p2p_times(self.SRC, self.DST, 4096)
+        assert draws["hops_many"] == 3
+        assert model._BASE_TIMES.stats()["misses"] == 3
+        assert not np.array_equal(other_link, base)
+        assert not np.array_equal(other_dims, other_link)
+
+    def test_in_place_topology_edit_misses(self):
+        fat = FatTreeTopology(48, nodes_per_leaf=24)
+        net = NetworkModel(fat, OMNIPATH_LINK)
+        before = net.p2p_times(np.array([0]), np.array([5]), 256)
+        fat.nodes_per_leaf = 4
+        after = net.p2p_times(np.array([0]), np.array([5]), 256)
+        assert after[0] > before[0]  # 2 -> 4 hops
+
+    def test_clear_caches_empties_it(self):
+        from repro.ir.batch import clear_caches
+
+        network_for(cte_arm(24)).p2p_times(self.SRC, self.DST, 256)
+        assert len(model._BASE_TIMES)
+        clear_caches()
+        assert not len(model._BASE_TIMES)
+
+    def test_returned_array_is_fresh(self):
+        net = network_for(cte_arm(24), healthy=True)
+        first = net.p2p_times(self.SRC, self.DST, 4096)
+        want = first.copy()
+        first[:] = -1.0
+        assert np.array_equal(net.p2p_times(self.SRC, self.DST, 4096), want)
+
+    def test_nonpositive_size_raises_every_call(self):
+        net = network_for(cte_arm(24))
+        net.p2p_times(self.SRC, self.DST, 4096)
+        for _ in range(2):
+            for size in (0, -4096):
+                with pytest.raises(ConfigurationError):
+                    net.p2p_times(self.SRC, self.DST, size)
+
+
+def test_warm_fig5_draws_nothing(draws):
+    """A second ``fig5_netdist`` run in one process makes no protocol
+    draws and computes no hop counts; the cold run makes 19,500 lanes
+    (13 windowed sizes x 1,500 pairs) over 25 ``hops_many`` calls."""
+    from repro.harness.experiment import run_experiment
+
+    model._BASE_TIMES.clear()
+    first = run_experiment("fig5_netdist").to_dict()
+    assert draws == {"lanes": 19500, "hops_many": 25}
+    draws.update(lanes=0, hops_many=0)
+    assert run_experiment("fig5_netdist").to_dict() == first
+    assert draws == {"lanes": 0, "hops_many": 0}
 
 
 class TestKernelRateCache:

@@ -1,6 +1,8 @@
 """Torus routes and congestion accounting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network.routing import (
     alltoall_flows,
@@ -11,6 +13,7 @@ from repro.network.routing import (
 )
 from repro.network.torus import TorusTopology, tofu_d
 from repro.util.errors import ConfigurationError
+from tests.oracles import link_loads_oracle
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +78,62 @@ class TestLoads:
     def test_empty_pattern(self, torus):
         report = analyze_congestion(torus, [])
         assert report.max_load == 0.0 and report.n_links_used == 0
+
+
+_TORI = {48: tofu_d(48), 192: tofu_d(192)}
+
+#: zero, exact and inexact binary fractions, and arbitrary finite floats
+_volumes = st.one_of(st.sampled_from([0.0, 1.0, 0.1, 3.0, 1e-3, 2.0**60]),
+                     st.floats(0.0, 1e12, allow_nan=False))
+
+
+@st.composite
+def _patterns(draw):
+    """A torus and flows on it, with self flows, repeats and zero volumes."""
+    topo = _TORI[draw(st.sampled_from(sorted(_TORI)))]
+    node = st.integers(0, topo.n_nodes - 1)
+    flows = draw(st.lists(st.tuples(node, node, _volumes), max_size=60))
+    if flows and draw(st.booleans()):
+        flows += draw(st.lists(st.sampled_from(flows), max_size=20))
+    flows += [(a, a, v) for a, _, v in flows[:draw(st.integers(0, 3))]]
+    return topo, draw(st.permutations(flows))
+
+
+class TestVectorizedLoads:
+    """Dimension-order ``link_loads`` equals the per-route fold: same
+    links, same insertion order, same float sums."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_patterns())
+    def test_matches_per_route_fold(self, pattern):
+        topo, flows = pattern
+        got = link_loads(topo, flows)
+        want = link_loads_oracle(topo, flows)
+        assert list(got.items()) == list(want.items())
+        assert analyze_congestion(topo, flows).total_load == sum(want.values())
+
+    @settings(max_examples=30, deadline=None)
+    @given(_patterns(), st.floats(-1e6, -1e-9))
+    def test_negative_volume_rejected_anywhere(self, pattern, negative):
+        topo, flows = pattern
+        flows = flows + [(0, topo.n_nodes - 1, negative)]
+        with pytest.raises(ConfigurationError):
+            link_loads(topo, flows)
+
+    def test_out_of_range_node_rejected(self, torus):
+        with pytest.raises(ConfigurationError):
+            link_loads(torus, [(0, 1, 1.0), (0, 24, 1.0)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(_TORI)), st.data())
+    def test_halo_matches_sorted_pair_loop(self, n, data):
+        topo = _TORI[n]
+        nodes = data.draw(st.lists(st.integers(0, n - 1), max_size=24))
+        want = []
+        for a in nodes:
+            dists = sorted((topo.hops(a, b), b) for b in nodes if b != a)
+            want += [(a, b, 2.5) for _, b in dists[:6]]
+        assert halo_flows(topo, nodes, 2.5) == want
 
 
 class TestValiantRouting:
