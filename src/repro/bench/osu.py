@@ -112,24 +112,34 @@ def diagonal_banding_score(bandwidth_map: np.ndarray) -> float:
     non-blocking fat tree produces).
     """
     n = bandwidth_map.shape[0]
+    if bandwidth_map.shape != (n, n):
+        raise ConfigurationError(
+            f"bandwidth map must be square, got {bandwidth_map.shape}")
     values = bandwidth_map[~np.isnan(bandwidth_map)]
     total_var = float(np.var(values))
     if total_var == 0:
         return 0.0
-    diag_means = []
-    weights = []
-    for off in range(1, n):
-        d1 = np.diagonal(bandwidth_map, offset=off)
-        d2 = np.diagonal(bandwidth_map, offset=-off)
-        d = np.concatenate([d1[~np.isnan(d1)], d2[~np.isnan(d2)]])
-        if d.size:
-            diag_means.append(float(np.mean(d)))
-            weights.append(d.size)
-    between_var = float(
-        np.average(
-            (np.array(diag_means) - np.mean(values)) ** 2, weights=np.array(weights)
-        )
-    )
+    # Every off-diagonal entry in one gather, grouped by offset k: the
+    # upper diagonal M[i, i + k] (flat k + (n + 1) i), then the lower
+    # diagonal M[i + k, i] (flat k n + (n + 1) i).
+    offsets = np.arange(1, n)
+    runs = np.repeat(n - offsets, 2)
+    starts = np.cumsum(runs) - runs
+    firsts = np.column_stack([offsets, offsets * n]).ravel()
+    d = bandwidth_map.ravel()[np.repeat(firsts - (n + 1) * starts, runs)
+                              + (n + 1) * np.arange(runs.sum())]
+    nan = np.isnan(d)
+    # A NaN at gather position p is lost to the first offset ending after p.
+    lost = np.searchsorted((starts + runs)[1::2], np.flatnonzero(nan),
+                           side="right")
+    counts = 2 * (n - offsets) - np.bincount(lost, minlength=n - 1)
+    d, ends, present = d[~nan], np.cumsum(counts), counts > 0
+    # np.mean adds pairwise, so each offset's slice is reduced on its own.
+    sums = [np.add.reduce(d[e - c:e])
+            for c, e in zip(counts.tolist(), ends.tolist()) if c]
+    between_var = float(np.average(
+        (np.array(sums) / counts[present] - np.mean(values)) ** 2,
+        weights=counts[present]))
     return between_var / total_var
 
 

@@ -20,7 +20,7 @@ sequence — and therefore its event calendar — independent of worker
 scheduling: the merged result is byte-identical for any shard count and
 any worker count.
 
-Workers are persistent processes (:class:`repro.harness.procpool.
+Workers are persistent processes (:class:`repro.util.procpool.
 PersistentPool`): each owns a contiguous block of shards, rebuilds them
 locally from the picklable :class:`ShardedSpec` (the lowered rank
 program is a closure and cannot cross a pipe), and exchanges only
@@ -216,7 +216,7 @@ class _PoolGroup:
     """Shard execution over persistent worker processes."""
 
     def __init__(self, spec: ShardedSpec, shard_sets: list[list[int]]) -> None:
-        from repro.harness.procpool import PersistentPool
+        from repro.util.procpool import PersistentPool
 
         self.pool = PersistentPool(
             _make_host, [(spec, ids) for ids in shard_sets]

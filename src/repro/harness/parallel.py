@@ -16,9 +16,10 @@ Speedup scales with available cores; on a single-core host the win
 comes from the cache, not the fan-out.  The first uncached experiment is
 always run in-process as a timing probe; a pool is only spawned when the
 measured per-task cost times the remaining task count clears
-``REPRO_POOL_MIN_SECONDS`` (default 2 s), and tasks are then dispatched
-in contiguous chunks rather than one process round-trip each — so
-``--jobs N`` never loses to ``--jobs 1`` on small or fast suites.
+:func:`repro.util.procpool.pool_min_seconds` (``REPRO_POOL_MIN_SECONDS``,
+default 2 s), and tasks are then dispatched in contiguous chunks rather
+than one process round-trip each — so ``--jobs N`` never loses to
+``--jobs 1`` on small or fast suites.
 """
 
 from __future__ import annotations
@@ -37,15 +38,6 @@ from repro.util.errors import ConfigurationError
 
 #: Environment variable naming the default cache directory.
 CACHE_ENV = "REPRO_CACHE_DIR"
-
-#: Environment variable overriding the pool cost threshold (seconds).
-POOL_MIN_ENV = "REPRO_POOL_MIN_SECONDS"
-
-#: Minimum estimated serial cost (seconds) of the *remaining* work before
-#: a worker pool pays for itself.  Spawning interpreters and re-importing
-#: ``repro`` costs O(1 s) per worker; below this, in-process execution
-#: wins (the old path lost to serial on small suites — 0.93x speedup).
-POOL_MIN_SECONDS = 2.0
 
 _fingerprint: str | None = None
 
@@ -92,28 +84,6 @@ def cache_key(exp_id: str, backend: str | None = None,
         f"{source_fingerprint()}".encode()
     ).hexdigest()
     return f"{exp_id}-{digest[:16]}"
-
-
-def pool_min_seconds() -> float:
-    """Pool cost threshold: ``$REPRO_POOL_MIN_SECONDS`` override, else
-    :data:`POOL_MIN_SECONDS`.
-
-    Public because every probe-then-pool call site shares one knob: the
-    experiment sweep here, the streaming batch driver
-    (:meth:`repro.ir.batch.BatchAnalyticBackend.run_batch_stream`), and
-    the tuner's chunk sharding (:mod:`repro.tune.engine`) all spawn
-    workers only when the measured serial cost of the remaining work
-    clears this threshold.
-    """
-    env = os.environ.get(POOL_MIN_ENV)
-    if not env:
-        return POOL_MIN_SECONDS
-    try:
-        return float(env)
-    except ValueError:
-        raise ConfigurationError(
-            f"{POOL_MIN_ENV} must be a number, got {env!r}"
-        ) from None
 
 
 def _run_one_text(exp_id: str, ctx: RunContext) -> tuple[str, float]:
@@ -214,8 +184,12 @@ def run_experiments(
         fresh = [text]
         stats.append((missing[0], per_task, "probe"))
         rest = missing[1:]
-        if (rest and jobs > 1
-                and per_task * len(rest) >= pool_min_seconds()):
+        use_pool = False
+        if rest and jobs > 1:
+            from repro.util.procpool import pool_min_seconds
+
+            use_pool = per_task * len(rest) >= pool_min_seconds()
+        if use_pool:
             workers = min(jobs, len(rest))
             # Chunk instead of one task per process dispatch: amortizes
             # pickling/IPC over len(rest)/workers tasks per round trip.

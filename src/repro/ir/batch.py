@@ -48,7 +48,7 @@ Two streaming entry points sit on top of ``run_batch``:
 * :meth:`BatchAnalyticBackend.run_batch_stream` — a lazy generator that
   consumes an arbitrarily long job iterable in chunks sized by a
   configurable memory budget (:func:`stream_chunk_points`), optionally
-  sharding chunks across :class:`repro.harness.procpool.PersistentPool`
+  sharding chunks across :class:`repro.util.procpool.PersistentPool`
   workers.  Results arrive in canonical input order and are bit-identical
   to ``run_batch`` for any chunk size and worker count.
 * :meth:`BatchAnalyticBackend.run_override_columns` — the tuner's fast
@@ -570,9 +570,9 @@ class BatchAnalyticBackend(Backend):
         matrices are live at a time (``workers`` chunks when pooled).
 
         ``workers > 1`` shards chunks across a
-        :class:`repro.harness.procpool.PersistentPool` after an in-process
+        :class:`repro.util.procpool.PersistentPool` after an in-process
         probe of the first chunk shows the remaining work clears
-        ``repro.harness.parallel.pool_min_seconds()`` (the PR-5 cost
+        :func:`repro.util.procpool.pool_min_seconds` (the shared cost
         probe); unpicklable jobs (custom network objects etc.) fall back
         to in-process evaluation.  Each worker compiles a tape at most
         once — the per-process tape memo is keyed by Program value, so
@@ -610,7 +610,7 @@ class BatchAnalyticBackend(Backend):
         # chunks — a lower bound on the remaining work.
         from time import perf_counter
 
-        from repro.harness.parallel import pool_min_seconds
+        from repro.util.procpool import PersistentPool, pool_min_seconds
 
         try:
             first = next(gen)
@@ -643,8 +643,6 @@ class BatchAnalyticBackend(Backend):
                 yield from self.run_batch(chunk)
             return
         from itertools import chain
-
-        from repro.harness.procpool import PersistentPool
 
         n_workers = max(2, min(workers, len(window)))
         with PersistentPool(_StreamChunkWorker,

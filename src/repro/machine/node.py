@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.machine.cache import CacheHierarchy
 from repro.machine.core import CoreModel
@@ -35,9 +36,14 @@ class NodeModel:
         if indices != list(range(len(self.domains))):
             raise ConfigurationError("NUMA domain indices must be 0..n-1")
 
-    @property
+    @cached_property
     def cores(self) -> int:
         return sum(d.cores for d in self.domains)
+
+    @cached_property
+    def core_domains(self) -> tuple[int, ...]:
+        """Domain index of each node-local core, in core order."""
+        return tuple(d.index for d in self.domains for _ in range(d.cores))
 
     @property
     def core_model(self) -> CoreModel:
@@ -67,18 +73,11 @@ class NodeModel:
         """Map a node-local core id to its NUMA domain."""
         if not 0 <= core < self.cores:
             raise ConfigurationError(f"core {core} out of range 0..{self.cores - 1}")
-        offset = 0
-        for domain in self.domains:
-            if core < offset + domain.cores:
-                return domain
-            offset += domain.cores
-        raise AssertionError("unreachable")
+        return self.domains[self.core_domains[core]]
 
     def cores_of_domain(self, index: int) -> range:
         """Node-local core ids belonging to domain ``index``."""
-        offset = 0
-        for domain in self.domains:
-            if domain.index == index:
-                return range(offset, offset + domain.cores)
-            offset += domain.cores
-        raise ConfigurationError(f"no NUMA domain with index {index}")
+        if index not in range(len(self.domains)):
+            raise ConfigurationError(f"no NUMA domain with index {index}")
+        start = self.core_domains.index(index)
+        return range(start, start + self.domains[index].cores)

@@ -9,6 +9,7 @@ arbitrary pinning (the hybrid runs pin each rank's threads inside one CMG).
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.machine.node import NodeModel
@@ -42,16 +43,17 @@ class ThreadPlacement:
     def n_threads(self) -> int:
         return len(self.cores)
 
+    def thread_domains(self) -> tuple[int, ...]:
+        """NUMA domain index of each thread, in thread order."""
+        table = self.node.core_domains
+        return tuple(table[c] for c in self.cores)
+
     def domain_counts(self) -> dict[int, int]:
-        """Threads per NUMA domain index."""
-        counts: dict[int, int] = {}
-        for c in self.cores:
-            d = self.node.domain_of_core(c).index
-            counts[d] = counts.get(d, 0) + 1
-        return counts
+        """Threads per NUMA domain index, in first-thread order."""
+        return dict(Counter(self.thread_domains()))
 
     def domain_of_thread(self, thread: int) -> int:
-        return self.node.domain_of_core(self.cores[thread]).index
+        return self.node.core_domains[self.cores[thread]]
 
 
 def bind_threads(

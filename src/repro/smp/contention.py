@@ -37,37 +37,28 @@ def stream_bandwidth(placement: ThreadPlacement, policy: PagePolicy) -> float:
     """
     node = placement.node
     n_threads = placement.n_threads
-    core = node.core_model
-    demand = np.full(n_threads, core.per_core_stream_bw)
+    demand = np.full(n_threads, node.core_model.per_core_stream_bw)
     L = page_locality(placement, policy)
 
     served = demand @ L  # traffic each domain's memory must supply
-    domain_scale = np.ones(len(node.domains))
-    for d, domain in enumerate(node.domains):
-        if served[d] > 0:
-            domain_scale[d] = min(
-                1.0, domain.memory.sustainable_bandwidth / served[d]
-            )
-    remote = sum(
-        demand[t] * (1.0 - L[t, placement.domain_of_thread(t)])
-        for t in range(n_threads)
-    )
-    ring_scale = 1.0
-    if remote > 0:
-        ring_scale = min(1.0, node.interconnect.total_bandwidth / remote)
-
-    total = 0.0
+    domain_scale = np.array([
+        min(1.0, d.memory.sustainable_bandwidth / s) if s > 0 else 1.0
+        for d, s in zip(node.domains, served.tolist())])
+    # Per thread: the most oversubscribed domain it touches ...
+    scale = np.where(L > 0, domain_scale, np.inf).min(axis=1)
+    local = L[np.arange(n_threads), placement.thread_domains()]
+    # Sums over threads use cumsum, which adds left to right as a loop
+    # would (np.sum adds pairwise and may round differently).
+    remote = (demand * (1.0 - local)).cumsum()[-1]
     ring_bound = False
-    for t in range(n_threads):
-        home = placement.domain_of_thread(t)
-        scale = min(
-            domain_scale[d] for d in range(len(node.domains)) if L[t, d] > 0
-        )
-        if L[t, home] < 1.0:  # some of this thread's traffic is remote
-            if ring_scale < scale:
-                scale = ring_scale
-                ring_bound = True
-        total += float(demand[t] * scale)
+    if remote > 0:
+        # ... or the ring, if some of its traffic is remote and the ring
+        # is tighter.
+        ring_scale = min(1.0, node.interconnect.total_bandwidth / remote)
+        ring = (local < 1.0) & (ring_scale < scale)
+        ring_bound = bool(ring.any())
+        scale[ring] = ring_scale
+    total = float((demand * scale).cumsum()[-1])
 
     # Ring utilization peaks when half the node's cores are active: fewer
     # threads leave bubbles in the ring pipeline (not enough outstanding
@@ -120,7 +111,7 @@ def node_stream_bandwidth(
     take = min(threads_per_rank, cores_per_rank)
     per_domain: dict[int, float] = {}
     for r in range(ranks):
-        domain = node.domain_of_core(r * cores_per_rank).index
+        domain = node.core_domains[r * cores_per_rank]
         bw = per_domain.get(domain)
         if bw is None:
             placement = bind_threads(node, take, domain=domain)

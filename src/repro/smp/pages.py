@@ -39,8 +39,7 @@ def page_locality(placement: ThreadPlacement, policy: PagePolicy) -> np.ndarray:
     n_domains = len(placement.node.domains)
     L = np.zeros((n_threads, n_domains))
     if policy is PagePolicy.FIRST_TOUCH:
-        for t in range(n_threads):
-            L[t, placement.domain_of_thread(t)] = 1.0
+        L[np.arange(n_threads), placement.thread_domains()] = 1.0
     elif policy in (PagePolicy.PREPAGE_INTERLEAVE, PagePolicy.INTERLEAVE):
         L[:, :] = 1.0 / n_domains
     elif policy is PagePolicy.PREPAGE_MASTER:
@@ -53,7 +52,5 @@ def page_locality(placement: ThreadPlacement, policy: PagePolicy) -> np.ndarray:
 def remote_fraction(placement: ThreadPlacement, policy: PagePolicy) -> float:
     """Aggregate fraction of traffic that crosses the on-chip interconnect."""
     L = page_locality(placement, policy)
-    local = sum(
-        L[t, placement.domain_of_thread(t)] for t in range(placement.n_threads)
-    )
-    return 1.0 - local / placement.n_threads
+    local = L[np.arange(placement.n_threads), placement.thread_domains()]
+    return 1.0 - local.cumsum()[-1] / placement.n_threads  # left to right

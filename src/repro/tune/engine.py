@@ -26,9 +26,9 @@ parent's final pass over the merged candidates yields the global
 frontier.  Chunk boundaries derive from the memory budget alone and
 candidates are collected in task order, so the result is identical for
 ANY worker count and budget; the PR-5 cost probe (price the first task
-in-process, spawn a :class:`repro.harness.procpool.PersistentPool` only
+in-process, spawn a :class:`repro.util.procpool.PersistentPool` only
 when the measured per-task cost times the remaining task count clears
-:func:`repro.harness.parallel.pool_min_seconds`) keeps small tunes
+:func:`repro.util.procpool.pool_min_seconds`) keeps small tunes
 pool-free.
 """
 
@@ -338,7 +338,7 @@ def tune(
     """Run one tuning sweep and return the exact Pareto frontier.
 
     ``workers > 1`` shards tasks across a persistent pool once the cost
-    probe clears :func:`repro.harness.parallel.pool_min_seconds`; the
+    probe clears :func:`repro.util.procpool.pool_min_seconds`; the
     frontier is identical for any worker count.
     """
     t0 = perf_counter()
@@ -371,23 +371,19 @@ def tune(
     probe_wall = perf_counter() - probe_t0
     rest = tasks[1:]
     used_pool = False
-    if rest:
-        from repro.harness.parallel import pool_min_seconds
+    if rest and workers > 1:
+        from repro.util.procpool import PersistentPool, pool_min_seconds
 
-        use_pool = (workers > 1
-                    and probe_wall * len(rest) >= pool_min_seconds())
-        if use_pool:
-            from repro.harness.procpool import PersistentPool
-
-            n_workers = max(2, min(workers, len(rest)))
-            with PersistentPool(_TuneWorker,
-                                [(spec, current())] * n_workers) as pool:
-                for reply in pool.imap(iter(rest)):
-                    collect(reply)
-            used_pool = True
-        else:
-            for task in rest:
-                collect(state.price_task(task))
+        used_pool = probe_wall * len(rest) >= pool_min_seconds()
+    if used_pool:
+        n_workers = max(2, min(workers, len(rest)))
+        with PersistentPool(_TuneWorker,
+                            [(spec, current())] * n_workers) as pool:
+            for reply in pool.imap(iter(rest)):
+                collect(reply)
+    else:
+        for task in rest:
+            collect(state.price_task(task))
 
     ids = np.concatenate(cand_ids)
     times = np.concatenate(cand_t)

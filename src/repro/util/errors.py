@@ -55,7 +55,7 @@ class RankFailureError(SimulationError):
 class WorkerLostError(ReproError):
     """A persistent pool worker process died in the middle of a call.
 
-    Raised by :class:`repro.harness.procpool.PersistentPool` instead of
+    Raised by :class:`repro.util.procpool.PersistentPool` instead of
     the bare pipe error (``EOFError``/``BrokenPipeError``); the pool is
     already closed when it propagates.  ``worker`` is the worker's index
     in the pool and ``exitcode`` its process exit code (negative: killed

@@ -35,12 +35,24 @@ written before :func:`~repro.network.routing.link_loads` laid every
 route out as arrays: each flow's route from
 :func:`~repro.network.routing.dimension_order_route`, added to a
 ``Counter`` link by link.
+
+:func:`stream_bandwidth_oracle` is the STREAM contention solver as it was
+written before :mod:`repro.smp.contention` solved it over numpy arrays
+and a core->domain table: one Python loop per thread, each thread's
+domain found by scanning the node's domains (:func:`domain_scan_oracle`).
+
+:func:`banding_score_oracle` is Fig. 4's diagonal banding score as it was
+written before :func:`repro.bench.osu.diagonal_banding_score` gathered
+every diagonal at once: ``np.diagonal`` twice per offset, ``np.mean`` of
+their non-NaN entries.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from typing import Any
+
+import numpy as np
 
 from repro.ir.backend import RunResult
 from repro.ir.ops import Barrier, CommOp, ComputeOp, MemOp, SerialOp
@@ -233,7 +245,6 @@ def tune_oracle(spec) -> tuple[dict, dict]:
     ``frontiers[name]`` (``frontiers[None]``: the union over pricing
     models) are ``(ids, times, energies)`` arrays, ids ascending.
     """
-    import numpy as np
 
     from repro.apps import get_app
     from repro.ir.batch import BatchJob, compile_tape, shared_batch_backend
@@ -333,3 +344,91 @@ def link_loads_oracle(topo, flows) -> Counter:
         for link in dimension_order_route(topo, src, dst):
             loads[link] += volume
     return loads
+
+
+def domain_scan_oracle(node, core: int) -> int:
+    """Index of the NUMA domain holding ``core``: a walk over the
+    domains' core counts."""
+    if not 0 <= core < node.cores:
+        raise ConfigurationError(f"core {core} out of range")
+    offset = 0
+    for domain in node.domains:
+        if core < offset + domain.cores:
+            return domain.index
+        offset += domain.cores
+    raise AssertionError("unreachable")
+
+
+def page_locality_oracle(placement, policy) -> np.ndarray:
+    """``L[t, d]`` filled one thread at a time."""
+    from repro.smp.pages import PagePolicy
+
+    node = placement.node
+    n_threads = placement.n_threads
+    n_domains = len(node.domains)
+    L = np.zeros((n_threads, n_domains))
+    if policy is PagePolicy.FIRST_TOUCH:
+        for t in range(n_threads):
+            L[t, domain_scan_oracle(node, placement.cores[t])] = 1.0
+    elif policy in (PagePolicy.PREPAGE_INTERLEAVE, PagePolicy.INTERLEAVE):
+        L[:, :] = 1.0 / n_domains
+    else:
+        L[:, domain_scan_oracle(node, placement.cores[0])] = 1.0
+    return L
+
+
+def stream_bandwidth_oracle(placement, policy) -> float:
+    """Aggregate STREAM bandwidth of one placement, thread by thread."""
+    node = placement.node
+    n_threads = placement.n_threads
+    demand = np.full(n_threads, node.core_model.per_core_stream_bw)
+    L = page_locality_oracle(placement, policy)
+    homes = [domain_scan_oracle(node, c) for c in placement.cores]
+
+    served = demand @ L
+    domain_scale = np.ones(len(node.domains))
+    for d, domain in enumerate(node.domains):
+        if served[d] > 0:
+            domain_scale[d] = min(
+                1.0, domain.memory.sustainable_bandwidth / served[d])
+    remote = sum(demand[t] * (1.0 - L[t, homes[t]])
+                 for t in range(n_threads))
+    ring_scale = 1.0
+    if remote > 0:
+        ring_scale = min(1.0, node.interconnect.total_bandwidth / remote)
+
+    total = 0.0
+    ring_bound = False
+    for t in range(n_threads):
+        scale = min(domain_scale[d] for d in range(len(node.domains))
+                    if L[t, d] > 0)
+        if L[t, homes[t]] < 1.0 and ring_scale < scale:
+            scale = ring_scale
+            ring_bound = True
+        total += float(demand[t] * scale)
+    if ring_bound:
+        total *= max(0.5, 1.0 - 0.0015 * abs(n_threads - node.cores // 2))
+    return total
+
+
+def banding_score_oracle(bandwidth_map: np.ndarray) -> float:
+    """Variance of per-offset diagonal means over the global variance,
+    one offset at a time."""
+    n = bandwidth_map.shape[0]
+    values = bandwidth_map[~np.isnan(bandwidth_map)]
+    total_var = float(np.var(values))
+    if total_var == 0:
+        return 0.0
+    diag_means = []
+    weights = []
+    for off in range(1, n):
+        d1 = np.diagonal(bandwidth_map, offset=off)
+        d2 = np.diagonal(bandwidth_map, offset=-off)
+        d = np.concatenate([d1[~np.isnan(d1)], d2[~np.isnan(d2)]])
+        if d.size:
+            diag_means.append(float(np.mean(d)))
+            weights.append(d.size)
+    between_var = float(np.average(
+        (np.array(diag_means) - np.mean(values)) ** 2,
+        weights=np.array(weights)))
+    return between_var / total_var

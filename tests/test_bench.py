@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench import (
     fig1_data,
@@ -23,6 +25,7 @@ from repro.bench.linpack import (
 from repro.bench.osu import (
     bandwidth_distribution,
     diagonal_banding_score,
+    fig4_data,
     fig5_data,
     find_weak_links,
 )
@@ -37,6 +40,7 @@ from repro.network import network_for
 from repro.util.errors import ConfigurationError
 from repro.util.stats import is_bimodal
 from repro.util.units import KIB, MIB
+from tests.oracles import banding_score_oracle
 
 
 class TestFig1:
@@ -123,6 +127,30 @@ class TestFig4and5:
 
         assert levels(torus_map) > 2 * levels(fat_map)
         assert diagonal_banding_score(torus_map) > 0.2
+
+    def test_banding_score_matches_per_offset_loop(self, small_net):
+        maps = [fig4_data(), fig4_data(healthy=True),
+                pairwise_bandwidth_map(small_net, size=256)]
+        for m in maps:
+            assert diagonal_banding_score(m) == banding_score_oracle(m)
+            assert diagonal_banding_score(np.asfortranarray(m)) == \
+                banding_score_oracle(m)
+        with pytest.raises(ConfigurationError):
+            diagonal_banding_score(np.ones((3, 4)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 140), nan_share=st.sampled_from([0.0, 0.2, 0.9]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_banding_score_random_maps(self, n, nan_share, seed):
+        """NaN holes anywhere, offsets left empty, lengths across the
+        pairwise-summation block sizes: the score is bit-identical."""
+        rng = np.random.default_rng(seed)
+        m = rng.lognormal(20.0, 1.0, (n, n))
+        m[rng.random((n, n)) < nan_share] = np.nan
+        np.fill_diagonal(m, np.nan)
+        if np.isnan(m).all():
+            return
+        assert repr(diagonal_banding_score(m)) == repr(banding_score_oracle(m))
 
     def test_map_needs_a_node(self, small_net):
         with pytest.raises(ConfigurationError):

@@ -405,27 +405,27 @@ def _echo_factory(init):
 
 class TestPersistentPoolImap:
     def test_ordered_streaming(self):
-        from repro.harness.procpool import PersistentPool
+        from repro.util.procpool import PersistentPool
 
         with PersistentPool(_echo_factory, [10, 10, 10]) as pool:
             results = list(pool.imap(range(50)))
         assert results == [i * 10 for i in range(50)]
 
     def test_map_matches_imap(self):
-        from repro.harness.procpool import PersistentPool
+        from repro.util.procpool import PersistentPool
 
         with PersistentPool(_echo_factory, [2, 2]) as pool:
             assert pool.map(range(9)) == [i * 2 for i in range(9)]
 
     def test_worker_error_propagates(self):
-        from repro.harness.procpool import PersistentPool
+        from repro.util.procpool import PersistentPool
 
         pool = PersistentPool(_echo_factory, [1, 1])
         with pytest.raises(ValueError, match="boom requested"):
             list(pool.imap(["a", "boom", "c", "d"]))
 
     def test_lazy_input_consumption(self):
-        from repro.harness.procpool import PersistentPool
+        from repro.util.procpool import PersistentPool
 
         pulled = []
 

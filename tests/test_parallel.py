@@ -186,7 +186,7 @@ def _make_echo(init):
 
 class TestPersistentPool:
     def test_call_all_routes_by_worker(self):
-        from repro.harness.procpool import PersistentPool
+        from repro.util.procpool import PersistentPool
 
         with PersistentPool(_make_echo, ["a", "b"]) as pool:
             assert pool.call_all([1, 2]) == [("a", 1), ("b", 2)]
@@ -196,14 +196,14 @@ class TestPersistentPool:
             assert all(w >= 0.0 for w in pool.call_walls[0])
 
     def test_worker_exception_reraised_in_parent(self):
-        from repro.harness.procpool import PersistentPool
+        from repro.util.procpool import PersistentPool
 
         pool = PersistentPool(_make_echo, ["a", "b"])
         with pytest.raises(ValueError, match="exploding"):
             pool.call_all(["boom", 1])
 
     def test_dead_worker_raises_worker_lost(self):
-        from repro.harness.procpool import PersistentPool
+        from repro.util.procpool import PersistentPool
         from repro.util.errors import WorkerLostError
 
         pool = PersistentPool(_make_echo, ["a", "b"])
@@ -213,7 +213,7 @@ class TestPersistentPool:
         assert not any(proc.is_alive() for proc in pool._procs)
 
     def test_dead_worker_stops_imap(self):
-        from repro.harness.procpool import PersistentPool
+        from repro.util.procpool import PersistentPool
         from repro.util.errors import WorkerLostError
 
         pool = PersistentPool(_make_echo, ["a", "b"])
@@ -222,7 +222,7 @@ class TestPersistentPool:
         assert not any(proc.is_alive() for proc in pool._procs)
 
     def test_message_count_must_match_workers(self):
-        from repro.harness.procpool import PersistentPool
+        from repro.util.procpool import PersistentPool
 
         with PersistentPool(_make_echo, ["a"]) as pool:
             with pytest.raises(ValueError):

@@ -4,9 +4,20 @@ Includes the paper-facing assertions: the Fig. 2 / Fig. 3 STREAM plateaus
 must emerge from the placement + contention model.
 """
 
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.machine import cte_arm, marenostrum4
+from repro.machine.node import NodeModel
+from repro.machine.presets import MACHINES
 from repro.smp import (
     OpenMPModel,
     PagePolicy,
@@ -17,8 +28,25 @@ from repro.smp import (
     parallel_region_time,
     stream_bandwidth,
 )
+from repro.smp.binding import ThreadPlacement
 from repro.smp.pages import remote_fraction
 from repro.util.errors import ConfigurationError
+from tests.oracles import (
+    domain_scan_oracle,
+    page_locality_oracle,
+    stream_bandwidth_oracle,
+)
+
+_NODES = (cte_arm().node, marenostrum4().node)
+
+
+@st.composite
+def placements(draw):
+    """Any set of distinct cores, in any order, on either preset node."""
+    node = draw(st.sampled_from(_NODES))
+    cores = draw(st.permutations(range(node.cores)))
+    n_threads = draw(st.integers(1, node.cores))
+    return ThreadPlacement(node, tuple(cores[:n_threads]))
 
 
 class TestBinding:
@@ -180,6 +208,96 @@ class TestStreamContention:
             node_stream_bandwidth(arm.node, ranks=0, threads_per_rank=1)
         with pytest.raises(ConfigurationError):
             node_stream_bandwidth(arm.node, ranks=10, threads_per_rank=10)
+
+
+class TestCoreDomainTable:
+    """The core->domain table answers exactly what the per-core scan did,
+    and the contention solver built on it equals the per-thread loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(placements())
+    def test_stream_bandwidth_matches_thread_loop(self, placement):
+        for policy in PagePolicy:
+            got = stream_bandwidth(placement, policy)
+            want = stream_bandwidth_oracle(placement, policy)
+            assert type(got) is float
+            assert got == want, (placement.cores, policy)
+            L = page_locality(placement, policy)
+            assert np.array_equal(L, page_locality_oracle(placement, policy))
+            local = sum(L[t, domain_scan_oracle(placement.node, c)]
+                        for t, c in enumerate(placement.cores))
+            assert remote_fraction(placement, policy) == (
+                1.0 - local / placement.n_threads)
+
+    def test_every_binding_matches_thread_loop(self):
+        for node in _NODES:
+            for n in range(1, node.cores + 1):
+                for binding in ThreadBinding:
+                    p = bind_threads(node, n, binding)
+                    for policy in PagePolicy:
+                        assert stream_bandwidth(p, policy) == \
+                            stream_bandwidth_oracle(p, policy)
+
+    def test_domain_of_core_matches_scan(self):
+        for preset in MACHINES:
+            node = preset.build(n_nodes=1).node
+            assert node.core_domains == tuple(
+                domain_scan_oracle(node, c) for c in range(node.cores))
+            for c in range(node.cores):
+                assert node.domain_of_core(c).index == \
+                    domain_scan_oracle(node, c)
+            p = ThreadPlacement(node, tuple(reversed(range(node.cores))))
+            assert p.thread_domains() == tuple(
+                p.domain_of_thread(t) for t in range(p.n_threads))
+            counts = {}
+            for c in p.cores:
+                d = domain_scan_oracle(node, c)
+                counts[d] = counts.get(d, 0) + 1
+            assert list(p.domain_counts().items()) == list(counts.items())
+            for bad in (-1, node.cores):
+                with pytest.raises(ConfigurationError):
+                    node.domain_of_core(bad)
+
+    def test_node_model_identity_unchanged(self):
+        """The tables are not fields: repr, equality, hash and
+        ``dataclasses.fields`` are what they were without them."""
+        assert [f.name for f in dataclasses.fields(NodeModel)] == [
+            "name", "sockets", "domains", "caches", "interconnect",
+            "nic_bandwidth", "nic_latency_s"]
+        fresh, used = cte_arm().node, cte_arm().node
+        used.domain_of_core(5)
+        assert "core_domains" in vars(used)
+        assert "core_domains" not in vars(fresh)
+        assert repr(used) == repr(fresh)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert "core_domains" not in repr(used)
+
+    def test_preset_fingerprints_unchanged(self):
+        """``ClusterModel.fingerprint`` of every preset, pinned under a
+        fixed hash seed (the reprs list frozensets, whose order follows
+        the seed)."""
+        want = {
+            "cte-arm": "438f01ee7c33eb5ae89bde4de5d09d7e"
+                       "5cd2766b14df8ad9ad63a7351f0335e3",
+            "fugaku": "d38ed170e24b575fc1119cdd98c603c6"
+                      "ca46f682b3a1237134e0f245964a181a",
+            "marenostrum4": "5289f454cfc56adc92c0e8ed7891d373"
+                            "9ef1f14d333be6b433586a5cff6b38f1",
+            "thunderx2": "52345199c1dfb46456f48e3bb6074149"
+                         "04805043590c0536617690683f70aefc",
+        }
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.machine.presets import MACHINES\n"
+             "for p in MACHINES:\n"
+             "    c = p.build()\n"
+             "    c.node.domain_of_core(0)\n"
+             "    print(p.name, c.fingerprint.hex())"],
+            env=env, capture_output=True, text=True, check=True)
+        got = dict(line.split() for line in out.stdout.splitlines())
+        assert got == want
 
 
 class TestOpenMPModel:
