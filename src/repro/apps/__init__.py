@@ -9,7 +9,9 @@ Each application exists at two layers:
 * a **mini-app** — a real numerical program built on
   :mod:`repro.kernels` and runnable under the simulated MPI at small scale
   (see ``examples/``), validating that the workload model's structure
-  matches an executable implementation.
+  matches an executable implementation.  The mini-apps live in the
+  ``repro.apps.miniapp*`` submodules and are not re-exported here, so
+  pricing a workload model never loads the kernels or scipy.
 
 Applications: Alya (FEM multi-physics), NEMO (ocean), Gromacs (molecular
 dynamics), OpenIFS (spectral NWP), WRF (mesoscale NWP).
@@ -22,11 +24,6 @@ from repro.apps.gromacs import GromacsModel
 from repro.apps.openifs import OpenIFSModel
 from repro.apps.wrf import WRFModel
 from repro.apps.inputs import INPUT_SETS, get_input, inputs_for
-from repro.apps.miniapps import cg_miniapp, stencil_miniapp
-from repro.apps.miniapps_linalg import fft_transpose_miniapp, lu_miniapp
-from repro.apps.miniapp_md import md_miniapp
-from repro.apps.miniapp_spectral import spectral_miniapp
-from repro.apps.miniapp_fem import fem_miniapp
 
 ALL_APPS = {
     "alya": AlyaModel,
@@ -61,11 +58,4 @@ __all__ = [
     "INPUT_SETS",
     "get_input",
     "inputs_for",
-    "cg_miniapp",
-    "stencil_miniapp",
-    "fft_transpose_miniapp",
-    "lu_miniapp",
-    "md_miniapp",
-    "spectral_miniapp",
-    "fem_miniapp",
 ]

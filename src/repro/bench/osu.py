@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.ma  # noqa: F401  (np.nanmedian loads it lazily on first call)
 
 from repro.machine.presets import cte_arm
 from repro.network.model import NetworkModel, network_for

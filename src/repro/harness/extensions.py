@@ -42,6 +42,7 @@ from repro.smp.pages import PagePolicy
 from repro.toolchain.compiler import CompilerProfile, VectorizationResult
 from repro.toolchain.kernels import KernelClass
 from repro.toolchain.profiles import GNU_8_3_1_SVE
+from repro.util.rng import make_rng
 from repro.util.tables import Table
 
 
@@ -335,7 +336,7 @@ def exp_congestion() -> ExperimentResult:
 
     topo = tofu_d(192)
     compact = list(range(16))
-    rng = __import__("numpy").random.default_rng(4)
+    rng = make_rng(4)
     scattered = sorted(int(x) for x in rng.choice(192, size=16, replace=False))
     t = Table("Ablation — link-level congestion (16-node allocations)",
               ["pattern", "allocation", "total link-bytes", "max link load",

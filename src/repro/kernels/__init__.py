@@ -9,77 +9,14 @@ running the real thing.  Modules:
 * :mod:`repro.kernels.fpu` — FMA-stream throughput micro-kernel;
 * :mod:`repro.kernels.stream` — STREAM copy/scale/add/triad;
 * :mod:`repro.kernels.lu` — blocked LU with partial pivoting (LINPACK);
+* :mod:`repro.kernels.gemm` — cache-blocked GEMM;
 * :mod:`repro.kernels.cg` — conjugate gradients;
 * :mod:`repro.kernels.multigrid` — HPCG: 27-point SpMV, SymGS, V-cycle MG;
 * :mod:`repro.kernels.stencil` — structured-grid stencils + halo logic;
 * :mod:`repro.kernels.fem` — unstructured FEM assembly (Alya);
 * :mod:`repro.kernels.md` — cell-list molecular dynamics (Gromacs);
 * :mod:`repro.kernels.spectral` — FFT spectral transforms (OpenIFS).
+
+The package imports none of them: import the submodule you use, so code
+that only prices workloads never loads scipy.
 """
-
-from repro.kernels.fpu import fma_chain, measure_fma_throughput
-from repro.kernels.stream import StreamArrays, stream_kernels, run_stream
-from repro.kernels.lu import blocked_lu, lu_solve, hpl_residual, hpl_flops
-from repro.kernels.gemm import blocked_gemm, choose_block, gemm_flops
-from repro.kernels.cg import conjugate_gradient, CGResult
-from repro.kernels.multigrid import (
-    hpcg_matrix,
-    hpcg_solve,
-    symgs,
-    symgs_colored,
-    color_grid,
-    v_cycle,
-    build_hierarchy,
-)
-from repro.kernels.stencil import (
-    laplacian_step,
-    advection_diffusion_step,
-    decompose,
-    grid_partition,
-)
-from repro.kernels.fem import box_mesh, assemble_stiffness, apply_dirichlet
-from repro.kernels.md import MDSystem, compute_forces, velocity_verlet
-from repro.kernels.spectral import (
-    SpectralGrid,
-    step_rk3,
-    initial_vorticity,
-    total_enstrophy,
-)
-
-__all__ = [
-    "fma_chain",
-    "measure_fma_throughput",
-    "StreamArrays",
-    "stream_kernels",
-    "run_stream",
-    "blocked_lu",
-    "lu_solve",
-    "hpl_residual",
-    "hpl_flops",
-    "blocked_gemm",
-    "choose_block",
-    "gemm_flops",
-    "conjugate_gradient",
-    "CGResult",
-    "hpcg_matrix",
-    "hpcg_solve",
-    "symgs",
-    "symgs_colored",
-    "color_grid",
-    "v_cycle",
-    "build_hierarchy",
-    "laplacian_step",
-    "advection_diffusion_step",
-    "decompose",
-    "grid_partition",
-    "box_mesh",
-    "assemble_stiffness",
-    "apply_dirichlet",
-    "MDSystem",
-    "compute_forces",
-    "velocity_verlet",
-    "SpectralGrid",
-    "step_rk3",
-    "initial_vorticity",
-    "total_enstrophy",
-]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import abc
 
-import networkx as nx
 import numpy as np
 
 from repro.util.errors import ConfigurationError
@@ -52,7 +51,7 @@ class Topology(abc.ABC):
 
     @abc.abstractmethod
     def neighbors(self, node: int) -> list[int]:
-        """Directly connected endpoints (for graph export/analysis)."""
+        """Directly connected endpoints."""
 
     @property
     @abc.abstractmethod
@@ -69,12 +68,3 @@ class Topology(abc.ABC):
         total = sum(int(self.hops_many(a, nodes).sum())
                     for a in range(n))
         return total / (n * (n - 1))
-
-    def to_networkx(self) -> nx.Graph:
-        """Export the direct-link graph for external analysis."""
-        g = nx.Graph()
-        g.add_nodes_from(range(self.n_nodes))
-        for a in range(self.n_nodes):
-            for b in self.neighbors(a):
-                g.add_edge(a, b)
-        return g

@@ -154,13 +154,24 @@ def _energy(
     elapsed: np.ndarray, *, bytes_total: float, steps: int, n_nodes: int,
     active_cores: int, power: PowerModel,
 ) -> np.ndarray:
-    """Vectorized :func:`repro.power.app_energy` accounting per point."""
-    tts = elapsed * steps
-    mem_gbs = (bytes_total / elapsed) / n_nodes / 1e9
-    node_w = (power.idle_w + active_cores * power.core_active_w
-              + mem_gbs * power.mem_w_per_gbs)
-    result: np.ndarray = node_w * n_nodes * tts
-    return result
+    """Vectorized :func:`repro.power.app_energy` accounting per point.
+
+    Computes ``node_w * n_nodes * (elapsed * steps)`` with ``node_w =
+    idle + cores * core_w + mem_gbs * mem_w`` in one working array (and
+    the ``elapsed * steps`` factor), in the expression's operation order:
+    only commuted operands move, which IEEE arithmetic keeps exact.  A
+    tune's chunk temporaries sit just under glibc's heap trim threshold,
+    so a fresh temporary per step gets the heap top trimmed and faulted
+    back on every chunk.
+    """
+    out: np.ndarray = np.divide(bytes_total, elapsed)
+    out /= n_nodes
+    out /= 1e9
+    out *= power.mem_w_per_gbs
+    out += power.idle_w + active_cores * power.core_active_w
+    out *= n_nodes
+    out *= elapsed * steps
+    return out
 
 
 class _TuneState:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
+from numpy.random import Generator, default_rng
 
 DEFAULT_SEED = 0xA64F
 
@@ -29,9 +29,9 @@ def derive_seed(base: int, *path: object) -> int:
     return int.from_bytes(h.digest()[:8], "little")
 
 
-def make_rng(seed: int | None = None, *path: object) -> np.random.Generator:
+def make_rng(seed: int | None = None, *path: object) -> Generator:
     """Create a numpy Generator from a base seed and an optional label path."""
     base = DEFAULT_SEED if seed is None else int(seed)
     if path:
         base = derive_seed(base, *path)
-    return np.random.default_rng(base)
+    return default_rng(base)

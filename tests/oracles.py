@@ -25,6 +25,10 @@ column pass and one Pareto reduction per template and pricing model),
 which the placement-grid engine in :mod:`repro.tune.engine` must equal
 bit for bit.
 
+:func:`energy_oracle` is the tuner's per-point energy expression as it
+was written before :func:`repro.tune.engine._energy` computed it in one
+working array; the tuner must equal it bit for bit.
+
 :func:`protocol_factor_oracle` is the per-lane Fig. 5 protocol draw as it
 was written before :meth:`ProtocolModel.factors` hashed a shared prefix:
 one full :func:`~repro.util.rng.derive_seed` call per (pair, size class),
@@ -232,6 +236,18 @@ def assert_matches_oracle(got, want) -> None:
     assert got.phase_bytes_time == want.phase_bytes_time
 
 
+def energy_oracle(elapsed, *, bytes_total, steps, n_nodes, active_cores,
+                  power):
+    """The tuner's per-point energy as one expression of fresh
+    temporaries, before :func:`repro.tune.engine._energy` worked in
+    place."""
+    tts = elapsed * steps
+    mem_gbs = (bytes_total / elapsed) / n_nodes / 1e9
+    node_w = (power.idle_w + active_cores * power.core_active_w
+              + mem_gbs * power.mem_w_per_gbs)
+    return node_w * n_nodes * tts
+
+
 def tune_oracle(spec) -> tuple[dict, dict]:
     """The tuner's historical per-template path, kept as its oracle.
 
@@ -296,10 +312,10 @@ def tune_oracle(spec) -> tuple[dict, dict]:
                 chunk.elapsed for chunk in backend.run_override_columns(
                     job, columns, chunk_points=per)])
             times = elapsed * steps
-            mem_gbs = (bytes_total / elapsed) / spec.n_nodes / 1e9
-            node_w = (power.idle_w + active_cores * power.core_active_w
-                      + mem_gbs * power.mem_w_per_gbs)
-            energies = node_w * spec.n_nodes * (elapsed * steps)
+            energies = energy_oracle(
+                elapsed, bytes_total=bytes_total, steps=steps,
+                n_nodes=spec.n_nodes, active_cores=active_cores,
+                power=power)
             front = pareto_indices(times, energies)
             base = (template.index * len(space.pricing) + p_idx) * per
             candidates[template.index, p_idx] = (

@@ -8,6 +8,9 @@ Regenerate the pinned frontier after an intentional model change with::
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +30,8 @@ from repro.tune import (
 )
 from repro.apps import ALL_APPS
 from repro.ir.batch import DEFAULT_STREAM_BUDGET
-from repro.tune.engine import _TuneState, decode_point
+from repro.power.model import PowerModel
+from repro.tune.engine import _TuneState, _energy, decode_point
 from repro.tune.space import (
     PAGE_POLICIES,
     VEC_MODES,
@@ -36,7 +40,7 @@ from repro.tune.space import (
 )
 from repro.util.errors import ConfigurationError
 
-from .oracles import tune_oracle
+from .oracles import energy_oracle, tune_oracle
 
 GOLDEN = Path(__file__).parent / "golden" / "tune_frontier.json"
 
@@ -428,6 +432,52 @@ class TestPerTemplateOracle:
             assert [p.point_id for p in points] == w_ids.tolist()
             assert [p.time_s for p in points] == w_t.tolist()
             assert [p.energy_j for p in points] == w_e.tolist()
+
+
+class TestEnergyInPlace:
+    """``_energy`` works in one array in place and equals the
+    fresh-temporary expression (``tests/oracles.py:energy_oracle``) bit
+    for bit; the second of two identical tunes in a fresh interpreter
+    faults almost no pages in, where a fresh temporary per energy step
+    has the heap top trimmed and faulted back on every chunk."""
+
+    @given(
+        st.lists(st.floats(min_value=1e-9, max_value=1e6), min_size=1,
+                 max_size=64),
+        st.floats(min_value=0.0, max_value=1e15),
+        st.integers(min_value=1, max_value=10_000),
+        st.integers(min_value=1, max_value=192),
+        st.integers(min_value=0, max_value=96),
+        st.tuples(*[st.floats(min_value=0.0, max_value=500.0)] * 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_energy_equals_oracle(self, elapsed, bytes_total, steps,
+                                  n_nodes, active_cores, watts):
+        power = PowerModel("drawn", *watts)
+        kw = dict(bytes_total=bytes_total, steps=steps, n_nodes=n_nodes,
+                  active_cores=active_cores, power=power)
+        elapsed = np.asarray(elapsed)
+        got = _energy(elapsed, **kw)
+        assert got.tobytes() == energy_oracle(elapsed, **kw).tobytes()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="heap trimming is glibc behaviour")
+    def test_warm_tune_faults_in_few_pages(self):
+        script = (
+            "import resource\n"
+            "from repro.tune import TuneSpec, tune\n"
+            "spec = TuneSpec('nemo', 'cte-arm', 16, scenarios=16)\n"
+            "tune(spec, workers=0)\n"
+            "f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "tune(spec, workers=0)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt"
+            " - f0)\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-c", script],
+                             env=dict(os.environ, PYTHONPATH=str(src)),
+                             capture_output=True, text=True, check=True,
+                             timeout=300)
+        assert int(out.stdout.splitlines()[-1]) < 1000
 
 
 class TestGoldenFrontier:
