@@ -42,7 +42,7 @@ from repro.util.errors import (
     OutOfMemoryError,
     ToolchainError,
 )
-from repro.util.memo import Memo
+from repro.util.memo import Memo, content_key
 
 __all__ = [
     "AppModel",
@@ -382,7 +382,7 @@ class AppModel(abc.ABC):
         memo_key = None
         if analytic:
             memo_key = (
-                type(self), repr(sorted(vars(self).items())),
+                type(self), content_key(vars(self)),
                 self.name, self.language, self.kernels,
                 self.ranks_per_node, self.threads_per_rank,
                 self.replicated_bytes_per_rank,

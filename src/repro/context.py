@@ -66,12 +66,6 @@ class RunContext:
         return dataclasses.replace(
             self, **{k: v for k, v in changes.items() if v is not None})
 
-    def key(self) -> str:
-        """Canonical rendering of every field, for cache keys."""
-        return (f"backend={self.backend},pricing={self.pricing},"
-                f"des_shards={self.des_shards},"
-                f"des_workers={self.des_workers}")
-
 
 _DEFAULT = RunContext()
 _CURRENT: contextvars.ContextVar[RunContext] = contextvars.ContextVar(

@@ -5,8 +5,10 @@
 order** regardless of completion order, so ``--jobs 1`` and ``--jobs 8``
 produce byte-identical output.
 
-An optional on-disk cache keyed by ``sha256(experiment id + a content
-hash of the whole ``repro`` source tree)`` makes repeated sweeps free:
+An optional on-disk cache keyed by the
+:func:`~repro.util.memo.content_key` of the experiment id, the run
+context and a content hash of the whole ``repro`` source tree makes
+repeated sweeps free:
 any source edit changes the fingerprint and invalidates every entry, so
 stale results can never be served.  Each payload carries both the
 ``to_dict`` form and the pre-rendered text (with and without figures),
@@ -35,6 +37,7 @@ from pathlib import Path
 from repro.context import RunContext, current, using
 from repro.harness.experiment import run_experiment
 from repro.util.errors import ConfigurationError
+from repro.util.memo import content_key
 
 #: Environment variable naming the default cache directory.
 CACHE_ENV = "REPRO_CACHE_DIR"
@@ -65,7 +68,8 @@ def cache_key(exp_id: str, backend: str | None = None,
     The run context (:func:`repro.context.current`, with ``backend`` and
     ``pricing`` replaced when given) — backend, pricing model, DES shard
     and worker counts — the IR optimizer pass version, and the static
-    analyzer version are part of the content hash, so a cached analytic
+    analyzer version enter its :func:`~repro.util.memo.content_key` with
+    the source fingerprint, so a cached analytic
     result is never served for a DES (or fastcoll) request, a roofline
     result never for an ECM one, a 1-shard result never for an 8-shard
     one, and a pass-semantics or analyzer-behavior change invalidates
@@ -77,13 +81,9 @@ def cache_key(exp_id: str, backend: str | None = None,
     from repro.ir.optimize import PASS_VERSION
 
     ctx = current().derive(backend=backend, pricing=pricing)
-    digest = hashlib.sha256(
-        f"{exp_id}\n{ctx.key()}\n"
-        f"passes-v{PASS_VERSION}\n"
-        f"analysis-v{ANALYZE_VERSION}\n"
-        f"{source_fingerprint()}".encode()
-    ).hexdigest()
-    return f"{exp_id}-{digest[:16]}"
+    digest = content_key((exp_id, ctx, PASS_VERSION, ANALYZE_VERSION,
+                          source_fingerprint()))
+    return f"{exp_id}-{digest.hex()[:16]}"
 
 
 def _run_one_text(exp_id: str, ctx: RunContext) -> tuple[str, float]:

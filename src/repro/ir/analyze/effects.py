@@ -46,15 +46,14 @@ pass-semantics bug can never silently poison cached figure data.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from repro.ir.ops import Barrier, CommOp, ComputeOp, Loop, MemOp, Op, Phase, SerialOp
 from repro.ir.optimize import optimize_program
 from repro.ir.program import Program
 from repro.machine.models import PricingModel, resolve_pricing
+from repro.util.memo import Memo, content_key
 
 __all__ = [
     "PassCertificate",
@@ -265,12 +264,13 @@ def certify(
             if _field_mismatch(field_name, va, vb):
                 mismatches.append(
                     f"phase {name!r}: {field_name} {va!r} != {vb!r}")
-    digest = hashlib.sha256(
-        (model.identity() + "|" + repr(sorted(a.items())) + "|"
-         + repr(sorted(b.items()))).encode()
-    ).hexdigest()
+    digest = content_key((model.identity(), a, b)).hex()
     return PassCertificate(
         ok=not mismatches, mismatches=tuple(mismatches), digest=digest)
+
+
+_CERTIFIED: Memo[tuple[Program, PassCertificate]] = Memo(
+    "analyze.certified_optimize", 512)
 
 
 def certified_optimize(
@@ -282,12 +282,10 @@ def certified_optimize(
     lookup, so running under another :class:`~repro.context.RunContext`
     pricing model can never return a certificate minted under this one.
     """
-    return _certified_optimize(program, resolve_pricing(pricing).name)
+    pricing_name = resolve_pricing(pricing).name
 
+    def run() -> tuple[Program, PassCertificate]:
+        optimized = optimize_program(program)
+        return optimized, certify(program, optimized, pricing=pricing_name)
 
-@lru_cache(maxsize=512)
-def _certified_optimize(
-    program: Program, pricing_name: str
-) -> tuple[Program, PassCertificate]:
-    optimized = optimize_program(program)
-    return optimized, certify(program, optimized, pricing=pricing_name)
+    return _CERTIFIED.get_or_compute((program, pricing_name), run)

@@ -22,7 +22,6 @@ dynamic-verify fallbacks when a program is already proven clean.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable
 
 from repro.ir.analyze.commsafety import check_traces
@@ -33,6 +32,7 @@ from repro.ir.program import Program
 from repro.machine.capacity import PartitionCapacity
 from repro.machine.cluster import ClusterModel
 from repro.util.errors import ConfigurationError, ToolchainError
+from repro.util.memo import Memo
 from repro.verify.diagnostics import Diagnostic, DiagnosticReport, Severity
 
 __all__ = [
@@ -129,14 +129,7 @@ def analyze_program(
     return report
 
 
-@lru_cache(maxsize=1024)
-def _static_clean_cached(program: Program, n_ranks: int,
-                         eager_threshold: int, max_unroll: int) -> bool:
-    traces = unroll(program, n_ranks, max_unroll=max_unroll,
-                    eager_threshold=eager_threshold)
-    diags = check_traces(traces)
-    return not any(
-        d.severity in (Severity.ERROR, Severity.WARNING) for d in diags)
+_STATIC_CLEAN: Memo[bool] = Memo("analyze.static_clean", 1024)
 
 
 def static_clean(
@@ -152,5 +145,12 @@ def static_clean(
     walk_ranks = n_ranks
     if max_comm_ranks is not None:
         walk_ranks = min(n_ranks, max(2, max_comm_ranks))
-    return _static_clean_cached(
-        program, walk_ranks, eager_threshold, max_unroll)
+
+    def run() -> bool:
+        traces = unroll(program, walk_ranks, max_unroll=max_unroll,
+                        eager_threshold=eager_threshold)
+        return not any(d.severity in (Severity.ERROR, Severity.WARNING)
+                       for d in check_traces(traces))
+
+    return _STATIC_CLEAN.get_or_compute(
+        (program, walk_ranks, eager_threshold, max_unroll), run)

@@ -46,13 +46,13 @@ count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple, Union
 
 from repro.ir.lower import _comm_reps, _halo_ndims, flatten_phases, grid_neighbors
 from repro.ir.ops import Barrier, CommOp
 from repro.ir.program import Program
 from repro.util.errors import ConfigurationError
+from repro.util.memo import Memo
 
 __all__ = [
     "CollEv",
@@ -143,9 +143,13 @@ class Traces:
         return self.per_rank[rank]
 
 
-@lru_cache(maxsize=4096)
+_NEIGHBORS: Memo[tuple[int, ...]] = Memo("analyze.neighbors", 4096)
+
+
 def _neighbors(rank: int, p: int, ndims: int) -> tuple[int, ...]:
-    return tuple(grid_neighbors(rank, p, ndims=ndims))
+    return _NEIGHBORS.get_or_compute(
+        (rank, p, ndims),
+        lambda: tuple(grid_neighbors(rank, p, ndims=ndims)))
 
 
 def _flatten(

@@ -60,8 +60,8 @@ Two streaming entry points sit on top of ``run_batch``:
 
 from __future__ import annotations
 
-import hashlib
 import math
+import sys
 from dataclasses import dataclass
 from itertools import islice
 from numbers import Real
@@ -86,7 +86,7 @@ from repro.simmpi.mapping import RankMapping
 from repro.toolchain.compiler import Binary
 from repro.toolchain.profiles import default_compiler_for
 from repro.util.errors import ConfigurationError
-from repro.util.memo import Memo, clear_memos
+from repro.util.memo import Memo, clear_memos, content_key
 
 __all__ = [
     "DEFAULT_STREAM_BUDGET",
@@ -175,7 +175,7 @@ class Tape:
 
     __slots__ = ("structure", "names", "occ_names", "rows", "cols",
                  "occ_mult", "ops", "occ_rows", "toolchain_rows",
-                 "kernel_needed", "extra_names", "digest")
+                 "kernel_needed", "extra_names", "digest", "nbytes")
 
     def __init__(self, structure: tuple, names: tuple[str, ...],
                  occ_names: tuple[int, ...], rows: tuple[tuple, ...],
@@ -204,12 +204,16 @@ class Tape:
         # digest covers them so a tape compiled before a model registered
         # its columns never aliases one compiled after
         self.extra_names = tuple(sorted(set(cols) - set(_COLUMNS)))
-        digest = hashlib.sha256(repr(structure).encode())
-        for col in _COLUMNS + self.extra_names:
-            digest.update(col.encode())
-            digest.update(cols[col].tobytes())
-        digest.update(occ_mult.tobytes())
-        self.digest = digest.digest()
+        columns = _COLUMNS + self.extra_names
+        self.digest = content_key((structure, columns,
+                                   [cols[c] for c in columns], occ_mult))
+        # resident size of everything the tape owns (the op objects and
+        # phase names belong to the program), counted once so eviction
+        # decisions are reproducible
+        self.nbytes = sum(map(sys.getsizeof, (
+            self, cols, ops, occ_mult, self.digest, self.toolchain_rows,
+            self.extra_names, structure, names, occ_names, rows,
+            self.occ_rows, *cols.values(), *rows, *self.occ_rows)))
 
     @property
     def n_rows(self) -> int:
@@ -218,14 +222,6 @@ class Tape:
     @property
     def n_occurrences(self) -> int:
         return len(self.occ_names)
-
-    @property
-    def nbytes(self) -> int:
-        """Resident-size estimate: the numpy columns plus a repr-length
-        proxy for the Python-side structure tuples.  Deterministic for a
-        given program, so eviction decisions are reproducible."""
-        return (sum(a.nbytes for a in self.cols.values())
-                + self.occ_mult.nbytes + len(repr(self.structure)))
 
 
 def _rows_by_occurrence(rows: tuple[tuple, ...],
@@ -366,8 +362,8 @@ def _compile_tape(program: Program) -> Tape:
                       dtype=np.int64 if c == "size" else np.float64)
         for c in cols
     }
-    return Tape(structure, tuple(names), tuple(occ_names), tuple(rows),
-                np_cols, np.asarray(occ_mult, dtype=np.int64), tuple(ops))
+    return Tape(structure, *structure, np_cols,
+                np.asarray(occ_mult, dtype=np.int64), tuple(ops))
 
 
 @dataclass
@@ -787,17 +783,13 @@ class BatchAnalyticBackend(Backend):
             digest = None  # user-supplied network: uncacheable
         else:
             network = _network(job.cluster, job.n_nodes)
-            h = hashlib.sha256(tape.digest)
-            h.update(job.cluster.fingerprint)
-            h.update(str(job.n_nodes).encode())
-            h.update(repr((mapping.n_nodes, mapping.ranks_per_node,
-                           mapping.threads_per_rank)).encode())
-            h.update(mapping.cluster.fingerprint)
-            h.update(repr(None if binary is None
-                          else binary_fingerprint(binary)).encode())
-            h.update(repr(tuple(sorted(overrides.items()))).encode())
-            h.update(model.identity().encode())
-            digest = h.digest()
+            # shallow: the tree digests are cached on their objects
+            digest = content_key((
+                tape.digest, job.cluster.fingerprint, job.n_nodes,
+                mapping.n_nodes, mapping.ranks_per_node,
+                mapping.threads_per_rank, mapping.cluster.fingerprint,
+                None if binary is None else binary_fingerprint(binary),
+                overrides, model.identity()))
         return _JobCtx(job, tape, mapping, binary, network,
                        CollectiveCosts(mapping=mapping, network=network),
                        digest, overrides, model, prep)

@@ -7,13 +7,13 @@ LINPACK/HPCG drivers (cluster peak, total memory).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
 
 from repro.machine.node import NodeModel
 from repro.util.errors import ConfigurationError
+from repro.util.memo import content_key
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,9 @@ class ClusterModel:
 
     @cached_property
     def fingerprint(self) -> bytes:
-        """Digest of the frozen tree's repr, once per object (batch keys)."""
-        return hashlib.sha256(repr(self).encode()).digest()
+        """:func:`~repro.util.memo.content_key` of the frozen tree, once
+        per object (batch keys)."""
+        return content_key(self)
 
     @property
     def total_cores(self) -> int:

@@ -14,10 +14,10 @@ Encodes the paper's two core-level observations:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.machine.isa import DType, ExecMode, VectorISA, SCALAR, lanes
 from repro.util.errors import ConfigurationError
+from repro.util.memo import Memo
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,10 @@ class CoreModel:
         """
         if not 0.0 <= vector_fraction <= 1.0:
             raise ConfigurationError("vector_fraction must be in [0, 1]")
-        return _sustained_rate(self, dtype, vector_fraction, vector_efficiency)
+        return _SUSTAINED_RATES.get_or_compute(
+            (self, dtype, vector_fraction, vector_efficiency),
+            lambda: _sustained_rate(self, dtype, vector_fraction,
+                                    vector_efficiency))
 
     def ukernel_flops(self, dtype: DType, mode: ExecMode) -> float:
         """What the FPU µKernel sustains: ~99 % of peak (Fig. 1).
@@ -114,13 +117,16 @@ class CoreModel:
         return self.peak_flops(dtype, mode) * self.ukernel_efficiency
 
 
-@lru_cache(maxsize=4096)
+#: harmonic-rule rates by (core, dtype, vector fraction, efficiency):
+#: CoreModel is frozen/hashable and the rate is pure in its arguments,
+#: and campaigns evaluate the same few (machine, kernel-class)
+#: combinations millions of times.
+_SUSTAINED_RATES: Memo[float] = Memo("machine.sustained_rate", 4096)
+
+
 def _sustained_rate(
     core: CoreModel, dtype: DType, vector_fraction: float, vector_efficiency: float
 ) -> float:
-    """Memoized harmonic-rule rate: CoreModel is frozen/hashable and the
-    rate is pure in its arguments, and campaigns evaluate the same few
-    (machine, kernel-class) combinations millions of times."""
     rv = core.peak_flops(dtype, ExecMode.VECTOR) * max(vector_efficiency, 1e-12)
     rs = core.peak_flops(dtype, ExecMode.SCALAR) * core.scalar_ooo_efficiency
     vf = vector_fraction

@@ -7,7 +7,6 @@ node b take?" and "what bandwidth would the OSU loop report for this pair?".
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -21,7 +20,7 @@ from repro.network.linkmodel import LinkModel, OMNIPATH_LINK, TOFUD_LINK
 from repro.network.topology import Topology
 from repro.network.torus import tofu_d
 from repro.util.errors import ConfigurationError
-from repro.util.memo import Memo
+from repro.util.memo import Memo, content_key
 
 
 #: Entry cap of the per-model (src, dst, size) timing cache, which serves
@@ -145,10 +144,8 @@ class NetworkModel:
             raise ConfigurationError("message size must be positive")
         src, dst = np.broadcast_arrays(np.asarray(src, dtype=np.int64),
                                        np.asarray(dst, dtype=np.int64))
-        digest = hashlib.blake2b(np.ascontiguousarray(src).data, digest_size=16)
-        digest.update(np.ascontiguousarray(dst).data)
-        key = (self.topology.fabric_key, self.link, size, src.shape,
-               digest.digest())
+        key = (self.topology.fabric_key, self.link, size,
+               content_key((src, dst)))
         base = _BASE_TIMES.get_or_compute(
             key, lambda: self._base_times(src, dst, size))
         factor = (self._factor_vector(self.faults.send_factors)[src]

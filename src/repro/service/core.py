@@ -406,8 +406,9 @@ class CapacityService:
     # -- resolution (cached, shared across requests) -------------------------
 
     def _cluster(self, name: str) -> ClusterModel:
-        """Cluster preset by name — one shared instance per name so the
-        batch layer's id-memoized fingerprints stay warm."""
+        """Cluster preset by name — one shared instance per name, so its
+        fingerprint (the tree's content key, computed once per object)
+        is not recomputed per request."""
         from repro.verify.runner import resolve_cluster
 
         hit = self._clusters.get(name)

@@ -9,8 +9,7 @@ feed :meth:`repro.machine.core.CoreModel.sustained_flops`.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping
 
@@ -18,6 +17,7 @@ from repro.machine.core import CoreModel
 from repro.machine.isa import DType
 from repro.toolchain.kernels import IRREGULAR, KernelClass
 from repro.util.errors import CompileError, ConfigurationError, ToolchainError
+from repro.util.memo import content_key
 
 
 @dataclass(frozen=True)
@@ -77,14 +77,9 @@ class CompilerProfile:
 
     @cached_property
     def fingerprint(self) -> bytes:
-        """Digest of the frozen tree's content, once per object (batch
-        keys).  A function's repr carries its memory address, so each
-        ``failures`` factory enters by its qualified name instead."""
-        failures = tuple(sorted(
-            (app, f"{fn.__module__}.{fn.__qualname__}")
-            for app, fn in self.failures.items()))
-        content = replace(self, failures=failures)  # type: ignore[arg-type]
-        return hashlib.sha256(repr(content).encode()).digest()
+        """:func:`~repro.util.memo.content_key` of the frozen tree, once
+        per object (batch keys)."""
+        return content_key(self)
 
     def vectorization(self, kernel: KernelClass) -> VectorizationResult:
         """Vectorization outcome for a kernel class (scalar if unknown)."""

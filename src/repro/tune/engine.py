@@ -151,18 +151,18 @@ def _tape_bytes(tape: Tape) -> float:
 
 
 def _energy(
-    elapsed: np.ndarray, *, bytes_total: float, steps: int, n_nodes: int,
-    active_cores: int, power: PowerModel,
+    elapsed: np.ndarray, tts: np.ndarray, *, bytes_total: float,
+    n_nodes: int, active_cores: int, power: PowerModel,
 ) -> np.ndarray:
     """Vectorized :func:`repro.power.app_energy` accounting per point.
 
-    Computes ``node_w * n_nodes * (elapsed * steps)`` with ``node_w =
-    idle + cores * core_w + mem_gbs * mem_w`` in one working array (and
-    the ``elapsed * steps`` factor), in the expression's operation order:
-    only commuted operands move, which IEEE arithmetic keeps exact.  A
-    tune's chunk temporaries sit just under glibc's heap trim threshold,
-    so a fresh temporary per step gets the heap top trimmed and faulted
-    back on every chunk.
+    Computes ``node_w * n_nodes * tts`` with ``node_w = idle + cores *
+    core_w + mem_gbs * mem_w`` in one working array, where ``tts`` is the
+    caller's ``elapsed * steps`` (the time to solution it already holds),
+    in the expression's operation order: only commuted operands move,
+    which IEEE arithmetic keeps exact.  A tune's chunk temporaries sit
+    just under glibc's heap trim threshold, so a fresh temporary per step
+    gets the heap top trimmed and faulted back on every chunk.
     """
     out: np.ndarray = np.divide(bytes_total, elapsed)
     out /= n_nodes
@@ -170,7 +170,7 @@ def _energy(
     out *= power.mem_w_per_gbs
     out += power.idle_w + active_cores * power.core_active_w
     out *= n_nodes
-    out *= elapsed * steps
+    out *= tts
     return out
 
 
@@ -239,12 +239,13 @@ class _TuneState:
         for chunk in self.backend.run_override_columns(
                 jobs, _grid_columns(space, templates),
                 memory_budget_bytes=self.spec.memory_budget_bytes):
-            times = (chunk.elapsed * self.steps).ravel()
+            tts = chunk.elapsed * self.steps
             energies = _energy(
-                chunk.elapsed, bytes_total=bytes_total, steps=self.steps,
+                chunk.elapsed, tts, bytes_total=bytes_total,
                 n_nodes=self.spec.n_nodes, active_cores=active_cores,
                 power=self.power,
             ).ravel()
+            times = tts.ravel()
             front = pareto_indices(times, energies)
             local, job = np.divmod(front + chunk.start, n)
             cand.append((base[job] + local, times[front], energies[front]))
@@ -292,7 +293,7 @@ def _baseline(state: _TuneState) -> tuple[str, dict[str, tuple[float, float]]]:
                             state.backend.run_batch(jobs)):
         elapsed = np.asarray([result.elapsed])
         energy = _energy(
-            elapsed, bytes_total=bytes_total, steps=state.steps,
+            elapsed, elapsed * state.steps, bytes_total=bytes_total,
             n_nodes=spec.n_nodes,
             active_cores=mapping.ranks_per_node * mapping.threads_per_rank,
             power=state.power,

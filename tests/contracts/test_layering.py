@@ -13,6 +13,11 @@ prices through ``BatchAnalyticBackend.run``, serves queries and runs a
 numpy loads ``numpy.random`` and ``numpy.ma`` lazily; the modules that
 use them import them with themselves, so a cold experiment pass after
 ``import repro.harness`` imports no numpy submodule inside its timing.
+
+Every process cache is a registered :class:`repro.util.memo.Memo`, so
+no module memoizes with ``functools.lru_cache``; and every digest is
+:func:`repro.util.memo.content_key`, so ``hashlib`` appears only there,
+in the two seed draws and in the source-tree fingerprint.
 """
 
 import importlib.util
@@ -109,3 +114,20 @@ def test_pool_lives_only_in_util():
 
     for name in ("PersistentPool", "POOL_MIN_ENV", "POOL_MIN_SECONDS"):
         assert not hasattr(parallel, name)
+
+
+#: the modules that may import ``hashlib``: the content key, the seed
+#: draws (number generators, not keys) and ``source_fingerprint``.
+_HASHLIB_MODULES = {"util/memo.py", "util/rng.py", "network/linkmodel.py",
+                    "harness/parallel.py"}
+
+
+def test_one_cache_type_and_one_key_function():
+    root = _SRC / "repro"
+    sources = {path.relative_to(root).as_posix(): path.read_text()
+               for path in sorted(root.rglob("*.py"))}
+    assert len(sources) > 100
+    assert [name for name, text in sources.items()
+            if "lru_cache" in text] == []
+    assert {name for name, text in sources.items()
+            if "hashlib" in text} == _HASHLIB_MODULES

@@ -20,7 +20,7 @@ import pytest
 
 from repro.context import RunContext, current, using
 from repro.util.errors import ConfigurationError
-from repro.util.memo import MEMOS, Memo, clear_memos, memo_stats
+from repro.util.memo import MEMOS, Memo, clear_memos, content_key, memo_stats
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -76,10 +76,11 @@ class TestRunContext:
             "des", "ecm", 3)
 
     def test_key_names_every_field(self):
-        keys = {RunContext().key(), RunContext(backend="des").key(),
-                RunContext(pricing="ecm").key(),
-                RunContext(des_shards=2).key(),
-                RunContext(des_workers=2).key()}
+        keys = {content_key(RunContext()),
+                content_key(RunContext(backend="des")),
+                content_key(RunContext(pricing="ecm")),
+                content_key(RunContext(des_shards=2)),
+                content_key(RunContext(des_workers=2))}
         assert len(keys) == 5
 
     def test_threads_do_not_see_each_others_context(self):
@@ -240,11 +241,16 @@ class TestMemo:
 
 def test_clear_caches_walks_exactly_the_process_memos():
     import repro.apps.base  # noqa: F401  (registers the sweep memo)
-    import repro.ir.batch  # noqa: F401
+    import repro.ir.analyze  # noqa: F401  (registers the analyzer memos)
+    from repro.ir.batch import clear_caches
 
     assert set(MEMOS) == {
-        "apps.sweeps", "batch.binaries", "batch.networks", "batch.rank_bw",
-        "batch.results", "batch.tapes", "network.base_times"}
+        "analyze.certified_optimize", "analyze.neighbors",
+        "analyze.static_clean", "apps.sweeps", "batch.binaries",
+        "batch.networks", "batch.rank_bw", "batch.results", "batch.tapes",
+        "machine.sustained_rate", "network.base_times"}
+    clear_caches()
+    assert all(len(memo) == 0 for memo in MEMOS.values())
 
 
 def test_pricing_keeps_no_cluster_alive():

@@ -313,6 +313,39 @@ class TestTapeAndCaches:
         again = app.sweep_timings(_ARM, [16, 32])
         assert "tamper" not in again[16].phase_seconds
 
+    def test_nbytes_is_the_resident_size(self):
+        """Over 50 distinct tapes (the five apps at two scales, plus
+        synthetic ones of 3 to 120 rows), the summed ``nbytes`` is within
+        35% of what tracemalloc sees the compiles keep, so a tape budget
+        bounds resident memory."""
+        import gc
+        import tracemalloc
+
+        from repro.ir.batch import _compile_tape
+
+        programs = [
+            get_app(name).program(get_app(name).mapping(_ARM, n))
+            for name in sorted(ALL_APPS) for n in (32, 64)]
+        programs += [
+            Program(name=f"rows-{k}", body=(Loop(k, (Phase("p", tuple(
+                CommOp("halo", 64 * j, neighbors=4) if j % 3 else
+                ComputeOp(seconds=(j + 1) * 1e-7)
+                for j in range(3 * k))),)),))
+            for k in range(1, 41)]
+        _compile_tape(programs[0])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tapes = [_compile_tape(program) for program in programs]
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len({tape.digest for tape in tapes}) == 50
+        counted = sum(tape.nbytes for tape in tapes)
+        assert 0.65 * grown <= counted <= 1.35 * grown
+
     def test_unknown_run_kwarg_rejected(self):
         program = Program(
             name="kw", body=(Phase("x", (ComputeOp(seconds=1e-6),)),))

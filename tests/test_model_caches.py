@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.machine import cte_arm, marenostrum4
-from repro.machine.core import _sustained_rate
+from repro.machine.core import _SUSTAINED_RATES
 from repro.machine.isa import DType
 from repro.network import linkmodel, model
 from repro.network.fattree import FatTreeTopology
@@ -177,7 +177,7 @@ def test_warm_fig5_draws_nothing(draws):
 class TestKernelRateCache:
     def test_sustained_flops_memoized(self):
         core = cte_arm(2).node.core_model
-        _sustained_rate.cache_clear()
+        _SUSTAINED_RATES.clear()
         first = core.sustained_flops(
             DType.DOUBLE, vector_fraction=0.8, vector_efficiency=0.5
         )
@@ -185,8 +185,8 @@ class TestKernelRateCache:
             DType.DOUBLE, vector_fraction=0.8, vector_efficiency=0.5
         )
         assert again == first
-        info = _sustained_rate.cache_info()
-        assert info.hits >= 1
+        stats = _SUSTAINED_RATES.stats()
+        assert stats["misses"] == 1 and stats["hits"] >= 1
 
     def test_distinct_cores_distinct_entries(self):
         arm = cte_arm(2).node.core_model

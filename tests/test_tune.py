@@ -454,11 +454,12 @@ class TestEnergyInPlace:
     def test_energy_equals_oracle(self, elapsed, bytes_total, steps,
                                   n_nodes, active_cores, watts):
         power = PowerModel("drawn", *watts)
-        kw = dict(bytes_total=bytes_total, steps=steps, n_nodes=n_nodes,
+        kw = dict(bytes_total=bytes_total, n_nodes=n_nodes,
                   active_cores=active_cores, power=power)
         elapsed = np.asarray(elapsed)
-        got = _energy(elapsed, **kw)
-        assert got.tobytes() == energy_oracle(elapsed, **kw).tobytes()
+        got = _energy(elapsed, elapsed * steps, **kw)
+        want = energy_oracle(elapsed, steps=steps, **kw)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="heap trimming is glibc behaviour")
